@@ -3,14 +3,15 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload train_paper --seed 2025 \
-        --seconds 20 --trace 0
+        --seconds 30 --trace 0
 
 Workloads (see ``workloads.py``): ``train_paper``, ``protect_suite`` and
-``campaign_shards``.  Each run sets up its inputs from ``--seed``, then
-runs measured passes, one at a time, until ``--seconds`` have passed (at
-least two, so outputs can be compared across passes), checks every
-output, prints a human-readable report and, as its last line, one JSON
-object ``{"correct", "attempted", "failed", "metrics"}``.
+``campaign_shards``.  Each run sets up its inputs from ``--seed``, runs
+the workload's untimed warm-up passes, then runs measured passes, one at
+a time, while another pass fits in ``--seconds`` (at least two, so
+outputs can be compared across passes), checks every output, prints a
+human-readable report and, as its last line, one JSON object
+``{"correct", "attempted", "failed", "metrics"}``.
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``.
 ``--trace 1`` wraps the public functions of every ``repro`` module (see
@@ -28,6 +29,7 @@ import time
 PROCESS_START = time.perf_counter()
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -52,7 +54,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     # 2025 is the repository's default workload seed.
     parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
@@ -73,6 +75,7 @@ class Runner:
         self.workdir.mkdir(exist_ok=True)
         self.workload = workloads.make_workload(args.workload, args.seed,
                                                 self.workdir)
+        self.workload.traced = bool(args.trace)
 
     # ------------------------------------------------------------------
     def setup(self, import_s: float) -> dict:
@@ -88,7 +91,14 @@ class Runner:
         return {"import_s": import_s, "inputs_s": inputs_s,
                 "once_s": once_s, "setup_s": import_s + inputs_s + once_s}
 
+    def warm_up(self) -> None:
+        """Untimed passes that fill caches before the first timed one."""
+        for _ in range(self.workload.warmup_passes):
+            self.one_pass()
+
     def one_pass(self):
+        # Each pass starts from an empty young generation.
+        gc.collect()
         try:
             return self.workload.run_pass(self.checks)
         except Exception:  # a raising pass counts against error_rate
@@ -96,11 +106,18 @@ class Runner:
             self.checks.fail()
             return None
 
-    def keep_going(self, started: float, done: int) -> bool:
+    def keep_going(self, started: float, done: int, last_s: float) -> bool:
+        """Whether to start another pass.
+
+        Past ``MIN_PASSES``, a pass starts only if one as long as the last
+        would end within ``--seconds``, so a run measures for about
+        ``--seconds`` whatever the length of a pass.
+        """
         now = time.perf_counter()
         if now - PROCESS_START > PASS_DEADLINE_S:
             return False
-        return done < MIN_PASSES or now - started < self.args.seconds
+        return (done < MIN_PASSES
+                or now - started + last_s <= self.args.seconds)
 
     def check_digests(self, results) -> None:
         first = results[0].digests
@@ -112,8 +129,10 @@ class Runner:
     # ------------------------------------------------------------------
     def run_timed(self):
         results = []
-        started = time.perf_counter()
-        while self.keep_going(started, len(results)):
+        started = last = time.perf_counter()
+        while self.keep_going(started, len(results),
+                              time.perf_counter() - last):
+            last = time.perf_counter()
             result = self.one_pass()
             if result is not None:
                 results.append(result)
@@ -128,8 +147,10 @@ class Runner:
         installed = tracer.install(callers=[self.workloads])
 
         plain, traced, passes = [], [], []
-        started = time.perf_counter()
-        while self.keep_going(started, len(traced)):
+        started = last = time.perf_counter()
+        while self.keep_going(started, len(traced),
+                              time.perf_counter() - last):
+            last = time.perf_counter()
             # One untraced pass per two traced ones gives the overhead.
             if len(plain) <= len(traced) // 2:
                 result = self.one_pass()
@@ -219,6 +240,7 @@ def main(argv=None) -> int:
 
     runner = Runner(args, workloads)
     setup = runner.setup(import_s)
+    runner.warm_up()
     if args.trace:
         return report_traced(runner, setup)
     results = runner.run_timed()

@@ -54,7 +54,9 @@ CAMPAIGN_CHUNK_TRACES = 256
 CAMPAIGN_SHARDS = 8
 #: Repeats of the trained model's scoring of its cognition matrix.
 SCORE_REPEATS = 25
-#: Extra runs of the suite's masking decision after each protect pass.
+#: Extra runs of the suite's masking decision after each protect pass of
+#: the traced run, which reports their median.  Timed runs make one, for
+#: the same-gates check, and so fit more of the run's seconds.
 DECISION_REPEATS = 4
 #: Warm resubmit+collect rounds per pass; one round is ~20 ms, so a pass
 #: yields 4 x 25 cache-hit samples.
@@ -126,6 +128,10 @@ class Workload:
     """
 
     name = ""
+    #: Untimed passes run after set-up, before the first timed pass.
+    warmup_passes = 0
+    #: Set by the runner on a traced run.
+    traced = False
 
     def __init__(self, seed: int, workdir: Path) -> None:
         self.seed = seed
@@ -235,8 +241,9 @@ class ProtectSuite(Workload):
                 [score.model_score for score in outcome.scores]))
         decision_s = [sum(r.polaris_seconds for r in reports)]
         trained = self.trained
-        checks.operation(DECISION_REPEATS * len(self.designs))
-        for _ in range(DECISION_REPEATS):
+        repeats = DECISION_REPEATS if self.traced else 1
+        checks.operation(repeats * len(self.designs))
+        for _ in range(repeats):
             total = 0.0
             for design, report in zip(self.designs, reports):
                 outcome = polaris_mask(design, trained.model,
@@ -275,6 +282,8 @@ class CampaignShards(Workload):
     name = "campaign_shards"
     pass_label = "campaign_s"
     fast_metric = "campaign.cached_s"
+    # A cold pass is short, so one untimed pass costs little.
+    warmup_passes = 1
 
     def __init__(self, seed: int, workdir: Path) -> None:
         super().__init__(seed, workdir)
