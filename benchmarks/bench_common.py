@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import os
 import sys
+import time
+import timeit
 from pathlib import Path
+from typing import Callable, List, Sequence
 
 SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
@@ -79,3 +82,38 @@ def write_text_result(name: str, content: str) -> Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(content + "\n")
     return path
+
+
+def best_of(fn: Callable[[], object], repeats: int = 5,
+            number: int = 1) -> float:
+    """Seconds per call of ``fn``: the fastest of ``repeats`` timings of
+    ``number`` back-to-back calls each (the minimum is the run least
+    disturbed by other load)."""
+    return min(timeit.timeit(fn, number=number)
+               for _ in range(repeats)) / number
+
+
+def interleaved_cpu_seconds(fns: Sequence[Callable[[], object]],
+                            rounds: int = 7,
+                            warmup: int = 1) -> List[List[float]]:
+    """CPU seconds of every function of ``fns``, round by round.
+
+    Each round runs the functions back to back (ABC ABC ...), so a load
+    drift lands on every member of a round alike, and ratios taken within
+    a round cancel it.  Process CPU time (``time.process_time``) leaves
+    out the time the process spends descheduled on a busy host.  The first
+    ``warmup`` rounds are run and discarded.
+
+    Returns:
+        ``rounds`` rows, each with one entry per function of ``fns``.
+    """
+    rows = []
+    for index in range(warmup + rounds):
+        row = []
+        for fn in fns:
+            start = time.process_time()
+            fn()
+            row.append(time.process_time() - start)
+        if index >= warmup:
+            rows.append(row)
+    return rows

@@ -39,18 +39,33 @@ from ..tvla.sharding import shard_trace_ranges
 
 #: Bumped whenever the hashed payload layout (or the semantics of any
 #: hashed field) changes, so stale stores can never serve foreign results.
-#: Format 2 added ``TvlaConfig.power_backend`` to the hashed config;
-#: format 3 added ``TvlaConfig.sampler`` (the counter/sequence sampling
-#: discipline — campaigns with different samplers draw different traces,
-#: so the sampler must separate content hashes).
-SPEC_FORMAT = 3
+#: Format 2 added the power-extraction backend selector to the hashed
+#: config; format 3 added ``TvlaConfig.sampler`` (the counter/sequence
+#: sampling discipline — campaigns with different samplers draw different
+#: traces, so the sampler must separate content hashes); format 4 dropped
+#: the simulation and power-extraction backend selectors, whose values
+#: always produced bit-identical traces.
+SPEC_FORMAT = 4
 
 #: Older spec formats :meth:`CampaignSpec.from_json` still loads.  A
 #: format-2 file predates the ``sampler`` knob and therefore describes a
-#: ``sampler="sequence"`` campaign (the only discipline that existed);
-#: its stored ``content_hash`` is verified against the format-2 payload
-#: it was computed over.
-_COMPAT_FORMATS = (2,)
+#: ``sampler="sequence"`` campaign (the only discipline that existed).
+_COMPAT_FORMATS = (2, 3)
+
+def _payload_json(spec_format: object, design_name: str, bench_text: str,
+                  tvla: Dict[str, object], n_shards: int) -> str:
+    """Canonical JSON (sorted keys, no whitespace) of one hashed payload."""
+    return json.dumps({
+        "format": spec_format,
+        "design_name": design_name,
+        "bench_text": bench_text,
+        "tvla": tvla,
+        "n_shards": n_shards,
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def tvla_config_to_dict(config: TvlaConfig) -> Dict[str, object]:
@@ -138,23 +153,10 @@ class CampaignSpec:
         return shard_trace_ranges(self.tvla.n_traces, self.n_shards,
                                   self.tvla.chunk_traces)
 
-    def canonical_payload(self, spec_format: int = SPEC_FORMAT) -> str:
-        """The canonical JSON string the content hash is computed over.
-
-        ``spec_format`` selects the payload layout of an older format
-        (used to verify the stored hash of a legacy spec file); format 2
-        predates — and therefore omits — the ``sampler`` field.
-        """
-        tvla = tvla_config_to_dict(self.tvla)
-        if spec_format < 3:
-            tvla.pop("sampler", None)
-        return json.dumps({
-            "format": spec_format,
-            "design_name": self.design_name,
-            "bench_text": self.bench_text,
-            "tvla": tvla,
-            "n_shards": self.n_shards,
-        }, sort_keys=True, separators=(",", ":"))
+    def canonical_payload(self) -> str:
+        """The canonical JSON string the content hash is computed over."""
+        return _payload_json(SPEC_FORMAT, self.design_name, self.bench_text,
+                             tvla_config_to_dict(self.tvla), self.n_shards)
 
     @property
     def content_hash(self) -> str:
@@ -164,8 +166,7 @@ class CampaignSpec:
         (sorted keys, no whitespace) and Python's float repr round-trips
         exactly, so equal specs — and only equal specs — collide.
         """
-        return hashlib.sha256(
-            self.canonical_payload().encode("utf-8")).hexdigest()
+        return _sha256(self.canonical_payload())
 
     # ------------------------------------------------------------------
     def to_json(self) -> str:
@@ -183,11 +184,14 @@ class CampaignSpec:
     def from_json(cls, text: str) -> "CampaignSpec":
         """Rebuild a spec written by :meth:`to_json`.
 
-        Specs of the formats in :data:`_COMPAT_FORMATS` load too: a
-        format-2 file (pre-``sampler``) describes a
-        ``sampler="sequence"`` campaign, and its stored hash is verified
-        against the format-2 payload it was computed over, so legacy
-        campaign directories keep resuming bit-identically.
+        Specs of the formats in :data:`_COMPAT_FORMATS` load too: their
+        backend-selector fields are dropped (every value they took produced
+        bit-identical traces), and a format-2 file (pre-``sampler``)
+        describes a ``sampler="sequence"`` campaign.  The stored hash is
+        verified against the payload stored in the file, whatever its
+        format; a loaded legacy spec then hashes under the current format,
+        so a legacy campaign directory (named by its old hash) fails
+        :func:`repro.campaign.runner.load_spec` instead of being reused.
 
         Raises:
             ValueError: for unknown format versions or a stored
@@ -201,22 +205,27 @@ class CampaignSpec:
                 f"unsupported campaign spec format {spec_format!r} "
                 f"(this build understands {SPEC_FORMAT} and "
                 f"{_COMPAT_FORMATS})")
-        tvla_data = dict(data["tvla"])
-        if spec_format < 3:
-            # The sampler knob did not exist: every legacy campaign drew
-            # through the SeedSequence discipline.
-            tvla_data["sampler"] = "sequence"
-        spec = cls(design_name=data["design_name"],
-                   bench_text=data["bench_text"],
-                   tvla=tvla_config_from_dict(tvla_data),
-                   n_shards=data["n_shards"])
         stored = data.get("content_hash")
         if stored is not None:
-            expected = hashlib.sha256(
-                spec.canonical_payload(spec_format).encode("utf-8")
-            ).hexdigest()
+            expected = _sha256(_payload_json(
+                spec_format, data["design_name"], data["bench_text"],
+                data["tvla"], data["n_shards"]))
             if stored != expected:
                 raise ValueError(
                     f"campaign spec hash mismatch: file says "
                     f"{stored[:12]}…, recomputed {expected[:12]}…")
-        return spec
+        tvla_data = dict(data["tvla"])
+        if spec_format != SPEC_FORMAT:
+            # Legacy payloads also hashed the backend selectors, which no
+            # longer exist: keep only the fields TvlaConfig still has.
+            known = {field.name for field in fields(TvlaConfig)}
+            tvla_data = {key: value for key, value in tvla_data.items()
+                         if key in known}
+        if spec_format == 2:
+            # The sampler knob did not exist: every legacy campaign drew
+            # through the SeedSequence discipline.
+            tvla_data["sampler"] = "sequence"
+        return cls(design_name=data["design_name"],
+                   bench_text=data["bench_text"],
+                   tvla=tvla_config_from_dict(tvla_data),
+                   n_shards=data["n_shards"])

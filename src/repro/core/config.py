@@ -142,8 +142,6 @@ class PolarisConfig:
 def paper_configuration(chunk_traces: int = 2048,
                         streaming: Optional[bool] = None,
                         tvla_order: int = 1,
-                        sim_backend: str = "compiled",
-                        power_backend: str = "packed",
                         sampler: str = "counter") -> PolarisConfig:
     """The exact parameterisation reported in §V-A of the paper.
 
@@ -160,14 +158,6 @@ def paper_configuration(chunk_traces: int = 2048,
         tvla_order: Highest TVLA order assessed (1, 2 or 3).  The paper
             reports first-order TVLA; orders 2/3 evaluate the masked
             results against the Schneider & Moradi higher-order tests.
-        sim_backend: Logic-simulation backend (``"compiled"`` fused kernel
-            or the ``"loop"`` reference sweep); both generate bit-identical
-            traces, see :class:`repro.tvla.TvlaConfig`.
-        power_backend: Toggle-extraction backend of the power engine
-            (``"packed"`` — consume the bit-packed state matrix directly,
-            default — or ``"unpacked"``, the bool-matrix oracle); both
-            generate bit-identical traces, see
-            :class:`repro.tvla.TvlaConfig`.
         sampler: Mask/noise sampling discipline (``"counter"`` — stateless
             Philox draws keyed by ``(seed, class, group, chunk, lane)``
             coordinates, bitwise layout-invariant across shard counts —
@@ -183,7 +173,6 @@ def paper_configuration(chunk_traces: int = 2048,
         theta_r=0.70,
         tvla=TvlaConfig(n_traces=10_000, power=PowerModelConfig(),
                         chunk_traces=chunk_traces, streaming=streaming,
-                        tvla_order=tvla_order, sim_backend=sim_backend,
-                        power_backend=power_backend, sampler=sampler),
+                        tvla_order=tvla_order, sampler=sampler),
         model=ModelConfig(model_type="adaboost", learning_rate=0.01),
     )

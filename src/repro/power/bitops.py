@@ -1,9 +1,8 @@
 """Shared bit-level primitives for packed-trace processing.
 
-The simulator's compiled backend keeps the whole state matrix **bit-packed**
-(eight stimulus vectors per byte, ``numpy.packbits`` MSB-first order), and
-with ``power_backend="packed"`` the power engine consumes those bytes
-directly.  The primitives every packed consumer needs — population counts
+The simulator keeps the whole state matrix **bit-packed** (eight stimulus
+vectors per byte, ``numpy.packbits`` MSB-first order), and the power engine
+consumes those bytes directly.  The primitives every packed consumer needs — population counts
 and padding-aware per-row reductions — live here, shared by
 
 * the fast measurement-noise sampler of :mod:`repro.power.traces`

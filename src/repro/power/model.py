@@ -102,8 +102,7 @@ class PowerModelConfig:
             standard deviation (``noise_sigma``) and is indistinguishable
             from Gaussian noise for first-order TVLA statistics (excess
             kurtosis -1/8) at a fraction of the sampling cost; ``"auto"``
-            (default) uses the fast sampler in the vectorised streaming
-            engine and exact normals in the reference per-gate loop.
+            (default) uses the fast sampler.
     """
 
     noise_sigma: float = 1.8
@@ -126,10 +125,15 @@ class PowerModelConfig:
 
 
 class GatePowerModel:
-    """Computes per-trace power for a single gate.
+    """Per-gate power coefficients, masked-composite tables and noise scale.
 
     The model is deliberately stateless across gates; the trace generator
-    (:mod:`repro.power.traces`) instantiates it once and reuses it.
+    (:mod:`repro.power.traces`) instantiates it once and reuses it.  A
+    plain cell draws ``dynamic * toggled + static``
+    (:meth:`unmasked_coefficients`); a masked composite draws its internal
+    share toggles (:meth:`masked_toggle_table`) plus a residual term for
+    the unmasked transitions on its data input pins
+    (:meth:`masked_residual_coefficient`).
     """
 
     def __init__(self, library: Optional[CellLibrary] = None,
@@ -144,7 +148,7 @@ class GatePowerModel:
                               fanout: int = 1) -> Tuple[float, float]:
         """Per-gate ``(dynamic, static)`` power coefficients of a plain cell.
 
-        ``power = dynamic * toggled + static``; the vectorised trace engine
+        ``power = dynamic * toggled + static``; the trace engine
         precomputes these once per gate and applies them by broadcasting.
         """
         energy = self.library.switching_energy(gate.gate_type, gate.fanin)
@@ -152,91 +156,13 @@ class GatePowerModel:
         load = 1.0 + self.config.load_factor * max(0, fanout - 1)
         return energy * glitch * load, self.config.static_fraction * energy
 
-    def unmasked_power(self, gate: Gate, toggled: np.ndarray,
-                       fanout: int = 1) -> np.ndarray:
-        """Power of an ordinary cell: energy on toggle plus static floor.
-
-        Args:
-            gate: The gate instance.
-            toggled: Boolean array (n_traces,) of output toggles.
-            fanout: Number of sinks the gate drives; every extra load adds
-                ``load_factor`` times the cell energy to each output toggle.
-
-        Returns:
-            Float array (n_traces,) of noiseless power samples.
-        """
-        dynamic, static = self.unmasked_coefficients(gate, fanout)
-        return dynamic * toggled.astype(float) + static
-
-    def masked_power(
-        self,
-        gate: Gate,
-        data_prev: Tuple[np.ndarray, np.ndarray],
-        data_cur: Tuple[np.ndarray, np.ndarray],
-        glitch_input_factor: float = 1.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Power of a masked composite cell from its internal share toggles.
-
-        Args:
-            gate: The masked gate instance.
-            data_prev: Tuple of the two data inputs' values in the previous
-                stimulus (boolean arrays of shape (n_traces,)).
-            data_cur: Same for the current stimulus.
-            glitch_input_factor: Multiplier on the residual data-dependent
-                leakage reflecting how glitchy the gate's fan-in cone is
-                (computed by the trace generator from the driver gate types
-                via :meth:`input_glitch_factor`).
-            rng: Generator for the fresh mask bits; defaults to the model's
-                own stream.  The chunked TVLA driver passes per-chunk
-                ``SeedSequence``-spawned generators so draws are independent
-                of how a campaign is chunked or sharded.
-
-        Returns:
-            Float array (n_traces,) of noiseless power samples.
-        """
-        a_prev, b_prev = data_prev
-        a_cur, b_cur = data_cur
-        n_traces = a_cur.shape[0]
-        nodes_prev = self._masked_internal_nodes(gate.gate_type, a_prev, b_prev,
-                                                 rng=rng)
-        if self.config.mask_refresh:
-            nodes_cur = self._masked_internal_nodes(gate.gate_type, a_cur, b_cur,
-                                                    rng=rng)
-        else:
-            # Faulty masking: reuse the previous masks, so the shares track
-            # the data and leakage persists (used by negative tests).
-            nodes_cur = self._masked_internal_nodes(
-                gate.gate_type, a_cur, b_cur, reuse_last_masks=True, rng=rng)
-        toggles = np.zeros(n_traces, dtype=float)
-        for name in nodes_cur:
-            toggles += np.logical_xor(nodes_prev[name], nodes_cur[name]).astype(float)
-        total_energy = self.library.switching_energy(gate.gate_type, gate.fanin)
-        per_node_energy = total_energy / max(1, len(nodes_cur))
-        static = self.config.static_fraction * total_energy
-
-        # Residual first-order leakage: the composite's data input pins carry
-        # unmasked values, so their transitions (and the glitches they feed
-        # into the masked core) remain data dependent.
-        residual_coeff = self.masked_residual_coefficient(
-            gate, glitch_input_factor)
-        residual = np.zeros(n_traces, dtype=float)
-        if residual_coeff > 0:
-            input_toggles = (
-                np.logical_xor(a_prev, a_cur).astype(float)
-                + np.logical_xor(b_prev, b_cur).astype(float)
-            ) / 2.0
-            residual = residual_coeff * input_toggles
-
-        return per_node_energy * toggles + residual + static
-
     def masked_residual_coefficient(self, gate: Gate,
                                     glitch_input_factor: float = 1.0) -> float:
         """Coefficient of the residual data-dependent leakage of a masked cell.
 
         ``residual_power = coefficient * mean_input_toggles`` where the mean
         input toggle count per trace is in [0, 1].  Returned once per gate so
-        the vectorised engine can apply it by broadcasting.
+        the trace engine can fold it into its value tables.
         """
         style = str(gate.attributes.get("protection_style", "trichina"))
         residual_factor = (self.config.valiant_residual if style == "valiant"
@@ -260,21 +186,6 @@ class GatePowerModel:
         """
         fraction = float(np.clip(xor_driver_fraction, 0.0, 1.0))
         return self.config.masked_glitch_base + self.config.masked_glitch_xor * fraction
-
-    def add_noise(self, power: np.ndarray,
-                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Add Gaussian measurement noise to a power sample array.
-
-        Args:
-            power: Noiseless samples.
-            rng: Generator for the noise draws; defaults to the model's own
-                sequential stream.
-        """
-        sigma = self.noise_sigma_abs()
-        if sigma <= 0:
-            return power
-        rng = rng if rng is not None else self._rng
-        return power + rng.normal(0.0, sigma, size=power.shape)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -300,9 +211,8 @@ class GatePowerModel:
         OR is computed via De Morgan on the masked AND; XOR is share-wise.
         DOM uses the same share structure plus a register stage (modelled as
         two additional internal nodes).  This is a pure function of the data
-        and mask bits; it is used both per-trace (with freshly drawn mask
-        arrays) and to enumerate the exact toggle-count lookup tables of the
-        vectorised trace engine.
+        and mask bits; it enumerates the exact toggle-count lookup tables of
+        the trace engine.
         """
         if gate_type is GateType.MASKED_XOR:
             a_hat = np.logical_xor(a, x)
@@ -337,26 +247,6 @@ class GatePowerModel:
             nodes["reg_t2"] = t2.copy()
             nodes["reg_t7"] = t7.copy()
         return nodes
-
-    def _masked_internal_nodes(
-        self,
-        gate_type: GateType,
-        a: np.ndarray,
-        b: np.ndarray,
-        reuse_last_masks: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Masked-composite node values for one stimulus with drawn masks."""
-        if reuse_last_masks and hasattr(self, "_last_masks"):
-            x, y, z = self._last_masks  # type: ignore[attr-defined]
-        else:
-            rng = rng if rng is not None else self._rng
-            size = a.shape
-            x = rng.integers(0, 2, size=size, dtype=np.uint8).astype(bool)
-            y = rng.integers(0, 2, size=size, dtype=np.uint8).astype(bool)
-            z = rng.integers(0, 2, size=size, dtype=np.uint8).astype(bool)
-            self._last_masks = (x, y, z)
-        return self._masked_nodes_for(gate_type, a, b, x, y, z)
 
     def masked_node_count(self, gate_type: GateType) -> int:
         """Number of internal nodes of a masked composite cell."""
@@ -453,8 +343,7 @@ class GatePowerModel:
         has mean 0 and standard deviation :meth:`noise_sigma_abs` — the
         offset is the ``-E[count] * scale`` centring term the trace engine
         folds into its static offsets and value tables.  Defined once here
-        so the vectorised engine, the reference loop and any future
-        backend apply bit-identical constants.
+        so every consumer applies bit-identical constants.
         """
         scale = self.noise_sigma_abs() / np.sqrt(FAST_NOISE_BITS / 4.0)
         return scale, -(FAST_NOISE_BITS / 2.0) * scale

@@ -6,43 +6,27 @@ given :class:`~repro.simulation.vectors.TraceCampaign`, every trace yields
 one power sample per gate (plus an aggregated design-level sample), which is
 exactly what the TVLA engine consumes.
 
-Two implementations coexist:
+The engine evaluates a whole campaign chunk with one-shot matrix operations
+in a gate-major layout:
 
-* the **vectorised engine** (default) evaluates the whole campaign with
-  one-shot matrix operations in a gate-major layout — net values are
-  stacked into one value matrix via precomputed row indices, per-gate power
-  coefficients are applied by broadcasting, and masked composites are
-  handled as per-type sub-groups through exact fused power-value lookup
-  tables derived from
-  :meth:`~repro.power.model.GatePowerModel.masked_toggle_table`;
-* :meth:`PowerTraceGenerator.generate_loop` keeps the original per-gate
-  Python loop as the reference implementation for regression tests and the
-  microbenchmark comparison.
+* simulation runs on the fused levelised kernel
+  (:mod:`repro.simulation.compiled`), and the power plan adopts its
+  state-matrix row numbering, so no per-net value marshalling happens
+  between simulation and power extraction;
+* toggles are extracted from the simulator's **bit-packed** state matrix
+  (:attr:`SimulationResult.packed_matrix`): unmasked gate toggles are one
+  XOR over packed bytes followed by a single ``numpy.unpackbits`` of just
+  the watched rows, and masked-composite data codes are assembled from the
+  packed share rows with shifts/ORs — the full ``(n_signals, batch)``
+  boolean state matrix is **never materialised**;
+* per-gate power coefficients are applied by broadcasting, and masked
+  composites are handled as per-type sub-groups through exact fused
+  power-value lookup tables derived from
+  :meth:`~repro.power.model.GatePowerModel.masked_toggle_table` (one table
+  gather per cell).
 
-Simulation itself runs on the backend selected by ``sim_backend``: with the
-default ``"compiled"`` fused kernel (:mod:`repro.simulation.compiled`) the
-power plan adopts the simulator's state-matrix row numbering, so net values
-flow from simulation into power extraction as a zero-copy view and the
-whole chunk is processed by GIL-releasing numpy calls.
-
-On top of that, ``power_backend`` selects how toggles are extracted from
-the simulation results:
-
-* ``"packed"`` (default) consumes the simulator's **bit-packed** state
-  matrix directly (:attr:`SimulationResult.packed_matrix`): unmasked gate
-  toggles are one XOR over packed bytes followed by a single
-  ``numpy.unpackbits`` of just the watched rows, and masked-composite
-  data codes are assembled from the packed share rows with shifts/ORs —
-  the full ``(n_signals, batch)`` boolean state matrix is **never
-  materialised**, which removes the pack/unpack boundary that used to
-  cost ~30% of evaluate time at large batches;
-* ``"unpacked"`` keeps the previous bool-matrix extraction as the
-  bit-identical oracle (it is also what runs when the simulator fell back
-  to the per-gate loop, which has no packed matrix).
-
-Both backends draw masks and noise identically and produce bit-identical
-traces — and therefore exactly equal t-values — pinned by
-``tests/test_packed_power.py``.
+The per-gate reference loop and the bool-matrix extraction it replaced
+live in the test suite as bit-identical oracles of this engine.
 
 :meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks so
 the streaming TVLA driver (:func:`repro.tvla.assessment.assess_leakage`) can
@@ -76,24 +60,14 @@ import numpy as np
 
 from ..netlist.cell_library import CellLibrary, GateType
 from ..netlist.netlist import Gate, Netlist
-from ..simulation.simulator import LogicSimulator, SimulationError, SimulationResult
+from ..simulation.simulator import LogicSimulator
 from ..simulation.vectors import TraceCampaign
-from .bitops import (FAST_NOISE_BITS, combine_transition_codes, popcount16,
-                     words_for_units)
+from .bitops import combine_transition_codes, popcount16, words_for_units
 from .ctrsample import CounterDraws, CounterStream
 from .model import GatePowerModel, PowerModelConfig
 
-#: Toggle-extraction backends accepted by :class:`PowerTraceGenerator` (and,
-#: downstream, by ``TvlaConfig.power_backend``).
-POWER_BACKENDS = ("packed", "unpacked")
-
 #: Full range of a uint64 word, used to draw raw random bits.
 _U64_MAX = np.iinfo(np.uint64).max
-#: Bit count of the fast-noise popcount sampler (Binomial(16, 1/2) per
-#: sample, sliced out of raw 64-bit generator words); canonical definition
-#: lives in :mod:`repro.power.bitops`.
-_FAST_NOISE_BITS = FAST_NOISE_BITS
-
 
 @dataclass
 class PowerTraces:
@@ -163,8 +137,7 @@ class _MaskedSubgroup:
         self.gate_type = gate_type
         #: Row range of this sub-group in the gate-major trace matrix.
         self.row_slice = row_slice
-        #: Row indices of the two data-input nets in the net-value matrix
-        #: built once per campaign evaluation.
+        #: Simulator state-matrix rows of the two data-input nets.
         self.a_rows = a_rows
         self.b_rows = b_rows
         #: Flattened ``(16 << mask_bits,)`` fused power-value table.
@@ -184,31 +157,13 @@ class PowerTraceGenerator:
         library: Cell library (defaults to the netlist's).
         config: Power-model configuration.
         seed: RNG seed for masks and measurement noise.
-        vectorised: Use the one-shot matrix engine (default).  When False,
-            :meth:`generate` falls back to the reference per-gate loop.
         trace_dtype: dtype of the per-gate trace matrix.  ``float32``
             (default) halves memory traffic on the hot path; statistics are
             still computed in float64 downstream.
-        sim_backend: Logic-simulation backend (``"compiled"`` — the fused
-            levelised kernel, default — or ``"loop"``, the per-gate
-            reference sweep); see :class:`~repro.simulation.LogicSimulator`.
-            With the compiled backend the power plan indexes the
-            simulator's state matrix directly, so no per-net value
-            marshalling happens between simulation and power extraction.
-        power_backend: Toggle-extraction backend: ``"packed"`` (default)
-            reads the simulator's bit-packed state matrix directly, so the
-            boolean state matrix is never materialised; ``"unpacked"``
-            keeps the bool-matrix extraction as the bit-identical oracle.
-            ``"packed"`` silently resolves to ``"unpacked"`` when no packed
-            matrix exists (loop simulation backend, or a netlist the
-            planner could not fuse) — see :attr:`resolved_power_backend`.
-            Both backends generate bit-identical traces.
 
     Raises:
-        SimulationError: if a masked gate has fewer than two data inputs
-            (malformed masked composite).
-        ValueError: for unknown ``sim_backend``/``power_backend``
-            selectors.
+        CompilationError: if the simulator cannot fuse the netlist (for
+            example a masked composite with fewer than two data inputs).
     """
 
     def __init__(
@@ -217,24 +172,14 @@ class PowerTraceGenerator:
         library: Optional[CellLibrary] = None,
         config: Optional[PowerModelConfig] = None,
         seed: int = 0,
-        vectorised: bool = True,
         trace_dtype: np.dtype = np.float32,
-        sim_backend: str = "compiled",
-        power_backend: str = "packed",
     ) -> None:
-        if power_backend not in POWER_BACKENDS:
-            raise ValueError(
-                f"power_backend must be one of {POWER_BACKENDS}, "
-                f"got {power_backend!r}")
         self.netlist = netlist
         self.library = library if library is not None else netlist.library
         self.config = config if config is not None else PowerModelConfig()
         self.seed = seed
-        self.vectorised = bool(vectorised)
         self.trace_dtype = np.dtype(trace_dtype)
-        self.sim_backend = sim_backend
-        self.power_backend = power_backend
-        self._simulator = LogicSimulator(netlist, backend=sim_backend)
+        self._simulator = LogicSimulator(netlist)
         self._model = GatePowerModel(self.library, self.config, seed=seed)
 
         unmasked: List[Gate] = []
@@ -243,12 +188,6 @@ class PowerTraceGenerator:
             if gate.gate_type.is_port:
                 continue
             if gate.gate_type.is_masked:
-                if len(gate.inputs) < 2:
-                    raise SimulationError(
-                        f"masked gate {gate.name!r} of type "
-                        f"{gate.gate_type.value} has {len(gate.inputs)} "
-                        f"input(s); masked composites require two data "
-                        f"inputs (a, b)")
                 masked.append(gate)
             else:
                 unmasked.append(gate)
@@ -275,34 +214,18 @@ class PowerTraceGenerator:
         self._build_plan(unmasked, masked)
 
     # ------------------------------------------------------------------
-    # Vectorised plan
+    # Plan
     # ------------------------------------------------------------------
     def _build_plan(self, unmasked: List[Gate], masked: List[Gate]) -> None:
         config = self.config
-        # Unique nets whose values feed the engine; both the unmasked watch
-        # rows and the masked data inputs index into one net-value matrix.
-        # With the compiled simulation backend that matrix *is* the
-        # simulator's state matrix (rows adopt the plan's signal numbering,
-        # undriven nets share its constant-zero row), so per-evaluation
-        # marshalling is a zero-copy view; with the loop backend a compact
-        # matrix is filled from the net-value dict per evaluation.
-        sim_plan = self._simulator.plan
-        net_positions: Dict[str, int] = {}
-        sim_nets: List[str] = []
+        # Both the unmasked watch rows and the masked data inputs index the
+        # simulator's state matrix directly (undriven nets share its
+        # constant-zero row), so extraction gathers straight from the
+        # packed sweep result.
+        plan_index = self._simulator.plan.signal_index
 
-        if sim_plan is not None:
-            plan_index = sim_plan.signal_index
-
-            def net_row(net: str) -> int:
-                return plan_index.get(net, 0)
-        else:
-            def net_row(net: str) -> int:
-                position = net_positions.get(net)
-                if position is None:
-                    position = len(sim_nets)
-                    net_positions[net] = position
-                    sim_nets.append(net)
-                return position
+        def net_row(net: str) -> int:
+            return plan_index.get(net, 0)
 
         # Unmasked gates: one watch net per gate (the output for
         # combinational cells, the data input for registers) and broadcast
@@ -368,29 +291,13 @@ class PowerTraceGenerator:
             ))
             self._gates.extend(gates)
             row += len(gates)
-        self._sim_nets: Tuple[str, ...] = tuple(sim_nets)
         #: Lazily built per-subgroup trace-dtype value tables (noise offset
-        #: folded in) used by the packed extraction path; see
-        #: :meth:`_packed_value_tables`.
-        self._packed_tables: Optional[List[np.ndarray]] = None
+        #: folded in); see :meth:`_value_tables`.
+        self._tables: Optional[List[np.ndarray]] = None
         #: Lazily built per-subgroup 4096-entry tables indexed by
         #: ``d << 8 | raw_mask_byte`` for the counter sampler; see
         #: :meth:`_counter_value_tables`.
         self._counter_tables: Optional[List[np.ndarray]] = None
-
-    @property
-    def resolved_power_backend(self) -> str:
-        """The toggle-extraction backend that will actually run.
-
-        ``"packed"`` requires the compiled simulation plan (the packed
-        state matrix is its output format) and the vectorised engine;
-        otherwise the requested ``"packed"`` degrades to ``"unpacked"``,
-        mirroring the compiled->loop simulation fallback.
-        """
-        if (self.power_backend == "packed" and self.vectorised
-                and self._simulator.plan is not None):
-            return "packed"
-        return "unpacked"
 
     @property
     def gate_names(self) -> Tuple[str, ...]:
@@ -402,25 +309,24 @@ class PowerTraceGenerator:
         """Number of gates with a power column."""
         return len(self._gates)
 
-    def _resolved_noise_mode(self, vectorised: bool) -> str:
+    def _noise_mode(self) -> str:
+        """Noise synthesis of this engine: ``"none"``, ``"fast"`` or
+        ``"gaussian"`` (``"auto"`` resolves to the popcount sampler)."""
         if self.config.noise_sigma <= 0:
             return "none"
         mode = self.config.noise_mode
-        if mode == "auto":
-            return "fast" if vectorised else "gaussian"
-        return mode
+        return "fast" if mode == "auto" else mode
 
-    def _packed_value_tables(self, noise_offset: float) -> List[np.ndarray]:
+    def _value_tables(self, noise_offset: float) -> List[np.ndarray]:
         """Per-subgroup value tables in trace dtype, noise offset folded in.
 
-        The tables are pure functions of the (frozen) power config, so the
-        packed path computes them once per generator instead of re-casting
-        1 KiB of float64 per subgroup per chunk.  Values are exactly what
-        the per-call cast of the unpacked oracle produces.  Built with a
-        benign idempotent race (local list, atomic publish), so one
-        generator can be shared by concurrent shard threads.
+        The tables are pure functions of the (frozen) power config, so they
+        are computed once per generator instead of re-casting 1 KiB of
+        float64 per subgroup per chunk.  Built with a benign idempotent
+        race (local list, atomic publish), so one generator can be shared
+        by concurrent shard threads.
         """
-        cached = self._packed_tables
+        cached = self._tables
         if cached is None:
             cached = []
             for sub in self._masked_subgroups:
@@ -429,7 +335,7 @@ class PowerTraceGenerator:
                     table += self.trace_dtype.type(noise_offset)
                 table.setflags(write=False)
                 cached.append(table)
-            self._packed_tables = cached
+            self._tables = cached
         return cached
 
     def _counter_value_tables(self, noise_offset: float) -> List[np.ndarray]:
@@ -441,10 +347,9 @@ class PowerTraceGenerator:
         16 x 256 entries makes ``table[d << 8 | byte]`` hit the same value
         for every byte with equal low bits, so the masking ``&`` pass (and
         the per-trace mask integer it produced) disappears from the hot
-        loop.  Entries are computed exactly as :meth:`_packed_value_tables`
-        computes theirs (same cast, same offset fold), so counter traces
-        are identical across the packed and unpacked backends.  Built with
-        the same benign idempotent race (atomic publish).
+        loop.  Entries are computed exactly as :meth:`_value_tables`
+        computes theirs (same cast, same offset fold).  Built with the same
+        benign idempotent race (atomic publish).
         """
         cached = self._counter_tables
         if cached is None:
@@ -484,29 +389,117 @@ class PowerTraceGenerator:
                 model's own sequential stream (legacy behaviour); the
                 chunked TVLA driver passes per-chunk spawned generators so
                 draws do not depend on chunk/shard layout.  With an
-                explicit ``rng`` the vectorised engine mutates no generator
-                state, so one :class:`PowerTraceGenerator` can be shared by
+                explicit ``rng`` the engine mutates no generator state, so
+                one :class:`PowerTraceGenerator` can be shared by
                 concurrent shard threads.
             draws: Counter-sampler draws for this campaign's coordinates
                 (``sampler="counter"``): mask bytes and noise words come
                 straight off Philox counter blocks instead of ``rng``.
-                Mutually exclusive with ``rng`` and — like the packed
-                extraction backend — only meaningful for the vectorised
-                engine.
+                Mutually exclusive with ``rng``.
 
         Raises:
-            ValueError: if both ``rng`` and ``draws`` are passed, or
-                ``draws`` is passed to the non-vectorised engine.
+            ValueError: if both ``rng`` and ``draws`` are passed.
         """
-        if draws is not None:
-            if rng is not None:
-                raise ValueError("pass either rng or draws, not both")
-            if not self.vectorised:
-                raise ValueError(
-                    "counter-sampler draws require the vectorised engine")
-        if not self.vectorised:
-            return self.generate_loop(campaign, rng=rng)
-        return self._generate_vectorised(campaign, rng=rng, draws=draws)
+        if draws is not None and rng is not None:
+            raise ValueError("pass either rng or draws, not both")
+        prev_inputs, cur_inputs = campaign.as_dicts()
+        packed_prev = self._simulator.evaluate(prev_inputs).packed_matrix
+        packed_cur = self._simulator.evaluate(cur_inputs).packed_matrix
+        n_traces = campaign.n_traces
+        n_gates = self.n_gates
+        # Gate-major accumulation: every sub-group's rows are C-contiguous,
+        # so fills, gathers and table lookups run at memcpy speed.  The
+        # public trace matrix is the (n_traces, n_gates) transpose view.
+        power = np.empty((n_gates, n_traces), dtype=self.trace_dtype)
+        per_gate = power.T
+        if n_gates == 0:
+            return PowerTraces(campaign.label, self.gate_names, per_gate,
+                               np.zeros(n_traces, dtype=self.trace_dtype))
+
+        if draws is None:
+            rng = rng if rng is not None else self._model._rng
+        noise_mode = self._noise_mode()
+        sigma = self._model.noise_sigma_abs()
+        # The popcount sampler's -E[count]*scale centring term is folded
+        # into the static offsets (one scalar per masked table, one column
+        # add for the unmasked rows).
+        noise_scale = 0.0
+        noise_offset = 0.0
+        if noise_mode == "fast":
+            noise_scale, noise_offset = self._model.fast_noise_params()
+
+        n_unmasked = len(self._watch_rows)
+        if n_unmasked:
+            # One XOR over packed bytes (8x less data than a bool
+            # comparison), then a single unpack of just the watched rows.
+            # unpackbits drops the padding bits of the last byte, and a 0/1
+            # uint8 multiplies exactly like a bool.
+            toggled = np.unpackbits(
+                packed_prev[self._watch_rows] ^ packed_cur[self._watch_rows],
+                axis=1, count=n_traces)
+            np.multiply(toggled, self._unmasked_dynamic.astype(self.trace_dtype),
+                        out=power[:n_unmasked])
+            offset_column = (self._unmasked_static + noise_offset).astype(
+                self.trace_dtype)
+            np.add(power[:n_unmasked], offset_column, out=power[:n_unmasked])
+
+        value_tables = self._value_tables(noise_offset)
+        counter_tables = self._counter_value_tables(noise_offset) \
+            if draws is not None and self._masked_subgroups else None
+        for group_index, sub in enumerate(self._masked_subgroups):
+            # Assemble the 4-bit data-transition code from the packed share
+            # rows: one stacked gather, one unpack, shifts/ORs.
+            stacked = np.concatenate(
+                (packed_prev[sub.a_rows], packed_prev[sub.b_rows],
+                 packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
+            bits = np.unpackbits(stacked, axis=1, count=n_traces)
+            shares = bits.reshape(4, len(sub.a_rows), n_traces)
+            if draws is not None:
+                # Counter path: word-wide code combine, then a gather on
+                # ``d << 8 | raw_byte`` — the raw Philox bytes index the
+                # replicated table directly, so the ``& mask`` pass of the
+                # sequence path (and its per-trace mask integers) is gone.
+                flat = combine_transition_codes(shares).astype(np.uint16)
+                width = flat.shape[0]
+                raw = draws.mask_bytes(group_index, width, n_traces)
+                np.left_shift(flat, 8, out=flat)
+                np.bitwise_or(flat, raw, out=flat)
+                table = counter_tables[group_index]
+            else:
+                a_prev, b_prev, a_cur, b_cur = shares
+                flat = (a_prev | (b_prev << 1) | (a_cur << 2)
+                        | (b_cur << 3)).astype(np.uint16)
+                width = flat.shape[0]
+                count = width * n_traces
+                words = rng.integers(0, _U64_MAX,
+                                     size=words_for_units(count, np.uint8),
+                                     dtype=np.uint64, endpoint=True)
+                mask_index = (words.view(np.uint8)[:count]
+                              .reshape(width, n_traces)
+                              & np.uint8((1 << sub.mask_bits) - 1))
+                np.left_shift(flat, sub.mask_bits, out=flat)
+                np.bitwise_or(flat, mask_index, out=flat)
+                table = value_tables[group_index]
+            # Indices are < len(table) by construction; mode="clip" skips
+            # the bounds-check buffering of the default mode.
+            np.take(table, flat, out=power[sub.row_slice], mode="clip")
+
+        if noise_mode == "fast":
+            counts = (draws.noise_counts((n_gates, n_traces))
+                      if draws is not None
+                      else self._fast_noise_counts(rng, (n_gates, n_traces)))
+            noise = np.multiply(counts, self.trace_dtype.type(noise_scale))
+            np.add(power, noise, out=power)
+        elif noise_mode == "gaussian":
+            gauss = (draws.gauss((n_gates, n_traces), dtype=np.float32)
+                     if draws is not None
+                     else rng.standard_normal(size=(n_gates, n_traces),
+                                              dtype=np.float32))
+            np.multiply(gauss, np.float32(sigma), out=gauss)
+            np.add(power, gauss, out=power)
+
+        total = per_gate.sum(axis=1)
+        return PowerTraces(campaign.label, self.gate_names, per_gate, total)
 
     def generate_stream(
         self,
@@ -576,218 +569,3 @@ class PowerTraceGenerator:
         """Generate traces for a (fixed, random) campaign pair."""
         first, second = campaigns
         return self.generate(first), self.generate(second)
-
-    # ------------------------------------------------------------------
-    def _net_matrix(self, result: SimulationResult) -> np.ndarray:
-        """Net values as a uint8 matrix indexed by the plan's net rows.
-
-        Compiled simulation backend: the plan's rows index straight into
-        the simulator's state matrix, so this is a zero-copy view.  Loop
-        backend: a compact ``(n_nets, n)`` matrix is filled from the
-        net-value mapping.
-        """
-        if result.state_matrix is not None:
-            return result.state_matrix.view(np.uint8)
-        n = result.n_vectors
-        matrix = np.empty((len(self._sim_nets), n), dtype=bool)
-        for index, net in enumerate(self._sim_nets):
-            value = result.net_values.get(net)
-            if value is None:
-                # Undriven net that no gate reads: constant 0, matching the
-                # simulator's semantics for floating inputs.
-                matrix[index] = False
-            else:
-                matrix[index] = value
-        return matrix.view(np.uint8)
-
-    def _generate_vectorised(self, campaign: TraceCampaign,
-                             rng: Optional[np.random.Generator] = None,
-                             draws: Optional[CounterDraws] = None,
-                             ) -> PowerTraces:
-        prev_inputs, cur_inputs = campaign.as_dicts()
-        previous = self._simulator.evaluate(prev_inputs)
-        current = self._simulator.evaluate(cur_inputs)
-        n_traces = campaign.n_traces
-        n_gates = self.n_gates
-        # Gate-major accumulation: every sub-group's rows are C-contiguous,
-        # so fills, gathers and table lookups run at memcpy speed.  The
-        # public trace matrix is the (n_traces, n_gates) transpose view.
-        power = np.empty((n_gates, n_traces), dtype=self.trace_dtype)
-        per_gate = power.T
-        if n_gates == 0:
-            return PowerTraces(campaign.label, self.gate_names, per_gate,
-                               np.zeros(n_traces, dtype=self.trace_dtype))
-
-        # Packed backend: keep the simulation results bit-packed and unpack
-        # only the rows the power model actually reads (watched outputs and
-        # masked data inputs).  The bool state matrix never materialises,
-        # and the lazy SimulationResult never unpacks it either.
-        packed = (self.power_backend == "packed"
-                  and previous.packed_matrix is not None
-                  and current.packed_matrix is not None)
-        if packed:
-            packed_prev = previous.packed_matrix
-            packed_cur = current.packed_matrix
-        else:
-            net_prev = self._net_matrix(previous)
-            net_cur = self._net_matrix(current)
-        if draws is None:
-            rng = rng if rng is not None else self._model._rng
-        noise_mode = self._resolved_noise_mode(vectorised=True)
-        sigma = self._model.noise_sigma_abs()
-        # The popcount sampler's -E[count]*scale centring term is folded
-        # into the static offsets (one scalar per masked table, one column
-        # add for the unmasked rows).
-        noise_scale = 0.0
-        noise_offset = 0.0
-        if noise_mode == "fast":
-            noise_scale, noise_offset = self._model.fast_noise_params()
-
-        n_unmasked = len(self._watch_rows)
-        if n_unmasked:
-            if packed:
-                # One XOR over packed bytes (8x less data than the bool
-                # comparison), then a single unpack of just the watched
-                # rows.  unpackbits drops the padding bits of the last
-                # byte, and a 0/1 uint8 multiplies exactly like a bool.
-                toggled = np.unpackbits(
-                    packed_prev[self._watch_rows]
-                    ^ packed_cur[self._watch_rows],
-                    axis=1, count=n_traces)
-            else:
-                toggled = (net_prev[self._watch_rows]
-                           != net_cur[self._watch_rows])
-            np.multiply(toggled, self._unmasked_dynamic.astype(self.trace_dtype),
-                        out=power[:n_unmasked])
-            offset_column = (self._unmasked_static + noise_offset).astype(
-                self.trace_dtype)
-            np.add(power[:n_unmasked], offset_column, out=power[:n_unmasked])
-
-        packed_tables = self._packed_value_tables(noise_offset) if packed \
-            else None
-        counter_tables = self._counter_value_tables(noise_offset) \
-            if draws is not None and self._masked_subgroups else None
-        for group_index, sub in enumerate(self._masked_subgroups):
-            shares = None
-            if packed:
-                # Assemble the 4-bit data-transition code from the packed
-                # share rows: one stacked gather, one unpack, shifts/ORs.
-                stacked = np.concatenate(
-                    (packed_prev[sub.a_rows], packed_prev[sub.b_rows],
-                     packed_cur[sub.a_rows], packed_cur[sub.b_rows]))
-                bits = np.unpackbits(stacked, axis=1, count=n_traces)
-                shares = bits.reshape(4, len(sub.a_rows), n_traces)
-                a_prev, b_prev, a_cur, b_cur = shares
-            else:
-                a_prev = net_prev[sub.a_rows]
-                b_prev = net_prev[sub.b_rows]
-                a_cur = net_cur[sub.a_rows]
-                b_cur = net_cur[sub.b_rows]
-            if draws is not None:
-                # Counter path: word-wide code combine, then a gather on
-                # ``d << 8 | raw_byte`` — the raw Philox bytes index the
-                # replicated table directly, so the ``& mask`` pass of the
-                # sequence path (and its per-trace mask integers) is gone.
-                if shares is None:
-                    shares = np.stack((a_prev, b_prev, a_cur, b_cur))
-                flat = combine_transition_codes(shares).astype(np.uint16)
-                width = flat.shape[0]
-                raw = draws.mask_bytes(group_index, width, n_traces)
-                np.left_shift(flat, 8, out=flat)
-                np.bitwise_or(flat, raw, out=flat)
-                table = counter_tables[group_index]
-            else:
-                flat = (a_prev | (b_prev << 1) | (a_cur << 2)
-                        | (b_cur << 3)).astype(np.uint16)
-                width = flat.shape[0]
-                count = width * n_traces
-                words = rng.integers(0, _U64_MAX,
-                                     size=words_for_units(count, np.uint8),
-                                     dtype=np.uint64, endpoint=True)
-                mask_index = (words.view(np.uint8)[:count]
-                              .reshape(width, n_traces)
-                              & np.uint8((1 << sub.mask_bits) - 1))
-                np.left_shift(flat, sub.mask_bits, out=flat)
-                np.bitwise_or(flat, mask_index, out=flat)
-                if packed:
-                    table = packed_tables[group_index]
-                else:
-                    table = sub.value_table.astype(self.trace_dtype)
-                    if noise_offset:
-                        table += self.trace_dtype.type(noise_offset)
-            # Indices are < len(table) by construction; mode="clip" skips
-            # the bounds-check buffering of the default mode.
-            np.take(table, flat, out=power[sub.row_slice], mode="clip")
-
-        if noise_mode == "fast":
-            counts = (draws.noise_counts((n_gates, n_traces))
-                      if draws is not None
-                      else self._fast_noise_counts(rng, (n_gates, n_traces)))
-            noise = np.multiply(counts, self.trace_dtype.type(noise_scale))
-            np.add(power, noise, out=power)
-        elif noise_mode == "gaussian":
-            gauss = (draws.gauss((n_gates, n_traces), dtype=np.float32)
-                     if draws is not None
-                     else rng.standard_normal(size=(n_gates, n_traces),
-                                              dtype=np.float32))
-            np.multiply(gauss, np.float32(sigma), out=gauss)
-            np.add(power, gauss, out=power)
-
-        total = per_gate.sum(axis=1)
-        return PowerTraces(campaign.label, self.gate_names, per_gate, total)
-
-    # ------------------------------------------------------------------
-    def generate_loop(self, campaign: TraceCampaign,
-                      rng: Optional[np.random.Generator] = None) -> PowerTraces:
-        """Reference per-gate loop implementation.
-
-        Kept from the original engine for regression tests and the
-        vectorised-vs-loop microbenchmark; ``generate`` is the fast path.
-        With ``noise_mode="auto"`` (or ``"gaussian"``) this path adds exact
-        Gaussian noise, as the original engine did; an explicit ``"fast"``
-        setting is honoured with the popcount sampler.  ``rng`` overrides
-        the model's sequential mask/noise stream (see :meth:`generate`).
-        """
-        prev_inputs, cur_inputs = campaign.as_dicts()
-        previous = self._simulator.evaluate(prev_inputs)
-        current = self._simulator.evaluate(cur_inputs)
-
-        noise_mode = self._resolved_noise_mode(vectorised=False)
-        noise_scale, _ = self._model.fast_noise_params()
-        rng = rng if rng is not None else self._model._rng
-
-        n_traces = campaign.n_traces
-        per_gate = np.zeros((n_traces, len(self._gates)), dtype=float)
-        for column, gate in enumerate(self._gates):
-            if gate.gate_type.is_masked:
-                a_net, b_net = gate.inputs[0], gate.inputs[1]
-                power = self._model.masked_power(
-                    gate,
-                    (previous.net_values[a_net], previous.net_values[b_net]),
-                    (current.net_values[a_net], current.net_values[b_net]),
-                    glitch_input_factor=self._glitch_factors.get(gate.name, 1.0),
-                    rng=rng,
-                )
-            else:
-                if gate.gate_type.is_sequential:
-                    # A register toggles when its captured value changes.
-                    toggled = np.logical_xor(
-                        previous.net_values[gate.inputs[0]],
-                        current.net_values[gate.inputs[0]],
-                    )
-                else:
-                    toggled = np.logical_xor(
-                        previous.net_values[gate.output],
-                        current.net_values[gate.output],
-                    )
-                power = self._model.unmasked_power(
-                    gate, toggled, fanout=self._fanouts.get(gate.name, 1))
-            if noise_mode == "fast":
-                counts = self._fast_noise_counts(rng, (n_traces,))
-                power = power + (counts - _FAST_NOISE_BITS / 2.0) * noise_scale
-                per_gate[:, column] = power
-            else:
-                per_gate[:, column] = self._model.add_noise(power, rng=rng)
-
-        total = per_gate.sum(axis=1)
-        return PowerTraces(campaign.label, self.gate_names, per_gate, total)

@@ -1,14 +1,9 @@
 """Fused levelised simulation kernel: the plan/execute split.
 
-The reference simulator (:class:`~repro.simulation.simulator.LogicSimulator`
-with ``backend="loop"``) evaluates one gate per Python iteration.  Each
-iteration is a vectorised numpy call, but the loop itself — operand list
-construction, evaluator dispatch, dictionary stores — runs under the GIL and
-dominates once designs reach a few hundred gates.  That loop is what capped
-the thread-executor scaling of sharded TVLA campaigns
-(``microbench_sharded_tvla_scaling``).
-
-This module removes the per-gate loop with a classic plan/execute split:
+Evaluating one gate per Python iteration (operand list construction,
+evaluator dispatch, dictionary stores) runs under the GIL and dominates
+once designs reach a few hundred gates.  This module removes the per-gate
+loop with a classic plan/execute split:
 
 * **Plan** (:class:`CompiledNetlist`) — walk
   :func:`~repro.simulation.levelize.level_groups` once and greedily fuse
@@ -32,23 +27,21 @@ This module removes the per-gate loop with a classic plan/execute split:
   so every signal is a ``(n_vectors / 8)``-byte row, every gate evaluation
   is a bitwise byte operation, and the whole sweep touches 8x less memory
   than a boolean evaluation would.  ``execute_packed`` returns that packed
-  ``(n_signals, ceil(n_vectors / 8))`` byte matrix directly — consumers
-  that can work on packed bits (the power engine's
-  ``power_backend="packed"`` toggle extraction) never pay an unpack at
-  all, while :meth:`CompiledNetlist.unpack` (or the convenience
-  :meth:`CompiledNetlist.execute`) materialises the boolean
+  ``(n_signals, ceil(n_vectors / 8))`` byte matrix directly — the power
+  engine's toggle extraction never pays an unpack at all, while
+  :meth:`CompiledNetlist.unpack` materialises the boolean
   ``(n_signals, n_vectors)`` state matrix for everyone else.  Every call
   operates on whole segments, so numpy releases the GIL for the bulk of
   each chunk's work and thread-pool shards (:mod:`repro.tvla.sharding`)
   genuinely overlap.
 
-The plan is immutable after construction and ``execute`` allocates fresh
-buffers per call, so one plan can be shared by concurrent threads.  Netlists
-the planner cannot fuse (malformed arities, port pseudo-cells instantiated
-as gates) raise :class:`CompilationError`; the simulator then falls back to
-the per-gate loop, which preserves the reference engine's lazy error
-behaviour.  The loop backend remains the oracle: the two backends are
-bit-identical on every net (pinned by ``tests/test_compiled_backend.py``).
+The plan is immutable after construction and ``execute_packed`` allocates
+fresh buffers per call, so one plan can be shared by concurrent threads.
+Netlists the planner cannot fuse (malformed arities, port pseudo-cells
+instantiated as gates) raise :class:`CompilationError` at plan time.  The
+per-gate reference loop lives in the test suite as the kernel's oracle;
+the two are bit-identical on every net (pinned by
+``tests/test_compiled_backend.py``).
 """
 
 from __future__ import annotations
@@ -105,11 +98,16 @@ _GATE_KERNELS: Dict[GateType, Tuple[int, bool]] = {
 }
 
 
-class CompilationError(Exception):
+class SimulationError(Exception):
+    """Raised for netlists or stimulus the simulator cannot evaluate."""
+
+
+class CompilationError(SimulationError):
     """Raised when a netlist cannot be fused into levelised segments.
 
-    The simulator treats this as "use the per-gate reference loop", which
-    keeps the loop backend's lazy error semantics for malformed gates.
+    Raised when the plan is built (and therefore when a
+    :class:`~repro.simulation.simulator.LogicSimulator` is constructed),
+    never deferred to evaluation time.
     """
 
 
@@ -157,10 +155,9 @@ class GateSegment:
 def _plan_gate(gate: Gate) -> Tuple[int, List[str], bool]:
     """Resolve one gate to ``(kernel, operand nets, invert)``.
 
-    Mirrors the validity conditions of the reference loop's static compile
-    step; anything the loop would defer to the checked (lazily raising)
-    :func:`~repro.simulation.logic.evaluate_gate` path is rejected here so
-    the simulator falls back to the loop wholesale.
+    Anything :func:`~repro.simulation.logic.supports_static_dispatch`
+    rejects (a wrong MUX/NOT/BUF arity, a non-combinational type) or a
+    masked composite without two data inputs cannot be fused.
 
     Raises:
         CompilationError: for gate arities/types the fused kernels do not
@@ -200,8 +197,7 @@ class CompiledNetlist:
             flip-flop outputs are level-0 signals like primary inputs.
 
     Raises:
-        CompilationError: if any combinational gate cannot be fused (the
-            caller should fall back to the per-gate reference loop).
+        CompilationError: if any combinational gate cannot be fused.
         LevelizationError: if the netlist has a combinational loop.
 
     Example (doctest)::
@@ -287,7 +283,7 @@ class CompiledNetlist:
                     # earlier segments): share the constant-zero row.
                     rows[i, j] = row_of.setdefault(net, ZERO_ROW)
                 # Ignored trailing inputs (masked-composite randomness
-                # nets) still surface in net_values, like the loop does.
+                # nets) still surface in net_values.
                 for net in gate.inputs[len(operands):]:
                     row_of.setdefault(net, ZERO_ROW)
                 row_of[gate.output] = next_row
@@ -364,9 +360,9 @@ class CompiledNetlist:
     def signal_index(self) -> Mapping[str, int]:
         """Mapping net name -> state-matrix row for every net in the plan.
 
-        Covers the reference loop's ``net_values`` key set: primary inputs,
-        register outputs, every gate input (undriven ones share the zero
-        row) and every gate output.
+        Covers every net of the design: primary inputs, register outputs,
+        every gate input (undriven ones share the zero row) and every gate
+        output.
         """
         return self._row_of
 
@@ -397,40 +393,6 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        input_values: Mapping[str, np.ndarray],
-        state: Optional[Mapping[str, np.ndarray]] = None,
-        n_vectors: Optional[int] = None,
-    ) -> np.ndarray:
-        """Run the levelised sweep and unpack the boolean state matrix.
-
-        Convenience wrapper: :meth:`execute_packed` followed by
-        :meth:`unpack`.  Consumers that can work on packed bits (the power
-        engine's packed toggle extraction) call ``execute_packed`` directly
-        and skip the unpack entirely.
-
-        Args:
-            input_values: Boolean array per primary input, shape
-                ``(n_vectors,)`` each (the caller validates completeness
-                and shape consistency).
-            state: Optional register values (output net -> boolean array);
-                missing registers default to 0.
-            n_vectors: Batch size; inferred from the first input when
-                omitted.
-
-        Returns:
-            The filled ``(n_signals, n_vectors)`` boolean state matrix,
-            marked read-only.  Fresh buffers are allocated per call, so
-            results from successive calls never alias and the plan is safe
-            to share across threads.
-        """
-        if n_vectors is None:
-            first = next(iter(input_values.values()))
-            n_vectors = int(np.asarray(first).shape[0])
-        packed = self.execute_packed(input_values, state, n_vectors)
-        return self.unpack(packed, n_vectors)
-
     def execute_packed(
         self,
         input_values: Mapping[str, np.ndarray],
@@ -448,7 +410,17 @@ class CompiledNetlist:
         drop them — :meth:`unpack` and
         :func:`repro.power.bitops.popcount_rows` both do.
 
-        Args/threading contract: as :meth:`execute`.
+        Args:
+            input_values: Boolean array per primary input, shape
+                ``(n_vectors,)`` each (the caller validates completeness
+                and shape consistency).
+            state: Optional register values (output net -> boolean array);
+                missing registers default to 0.
+            n_vectors: Batch size; inferred from the first input when
+                omitted.
+
+        Fresh buffers are allocated per call, so results from successive
+        calls never alias and the plan is safe to share across threads.
 
         Returns:
             The ``(n_signals, ceil(n_vectors / 8))`` uint8 matrix, marked
@@ -522,21 +494,11 @@ class CompiledNetlist:
             The ``(n_signals, n_vectors)`` boolean state matrix, marked
             read-only: every exported net value is a view of this matrix,
             so an in-place mutation by a caller raises instead of silently
-            corrupting other nets (same contract as the loop backend's
-            shared zero buffer, extended to all signals).
+            corrupting other nets.
         """
         matrix = np.unpackbits(packed, axis=1, count=n_vectors).view(bool)
         matrix.setflags(write=False)
         return matrix
-
-    def next_state(self, state_matrix: np.ndarray) -> Dict[str, np.ndarray]:
-        """Extract the register next-state from an executed state matrix.
-
-        Returns private copies (callers may mutate the returned state
-        without aliasing the read-only matrix), mirroring the loop backend.
-        """
-        return {net: state_matrix[data_row].copy()
-                for net, _, data_row in self._dff_next_items}
 
     def next_state_packed(self, packed: np.ndarray,
                           n_vectors: int) -> Dict[str, np.ndarray]:
@@ -544,7 +506,8 @@ class CompiledNetlist:
 
         Unpacks only the register data rows, so multi-cycle runs on the
         packed path never force a full-matrix unpack just to advance the
-        clock.  Returns fresh writable arrays, like :meth:`next_state`.
+        clock.  Returns fresh writable arrays (callers may mutate the
+        returned state without aliasing the read-only matrix).
         """
         if not self._dff_next_items:
             return {}

@@ -84,14 +84,12 @@ MASKED_DATA_INPUTS: Dict[GateType, int] = {
 
 
 def supports_static_dispatch(gate_type: GateType, n_inputs: int) -> bool:
-    """Whether ``(gate_type, n_inputs)`` can skip the checked evaluate path.
+    """Whether ``(gate_type, n_inputs)`` has a statically valid arity.
 
-    Shared by both simulator backends: the loop backend resolves such gates
-    to bare evaluators at compile time, and the fused planner
-    (:mod:`repro.simulation.compiled`) only accepts gates satisfying this
-    predicate — anything else keeps (or falls back to) the lazily raising
-    :func:`evaluate_gate` semantics.  Keeping the condition in one place is
-    what keeps the two backends' accept/reject behaviour identical.
+    The fused planner (:mod:`repro.simulation.compiled`) only accepts gates
+    satisfying this predicate and rejects the netlist otherwise; the
+    checked :func:`evaluate_gate` raises for the same cases one gate at a
+    time.  Keeping the condition in one place keeps the two consistent.
     """
     return (gate_type in _EVALUATORS and n_inputs >= 1
             and not (gate_type is GateType.MUX and n_inputs != 3)

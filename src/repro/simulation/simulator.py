@@ -1,19 +1,15 @@
 """Vectorised gate-level logic simulator.
 
 The simulator evaluates a whole netlist for a *batch* of input vectors at
-once: every net's value is a boolean array of shape ``(n_vectors,)``.  Two
-interchangeable backends implement the sweep:
-
-* ``"compiled"`` (default) — the fused levelised kernel of
-  :mod:`repro.simulation.compiled`: a :class:`CompiledNetlist` plan is built
-  once per simulator and each :meth:`LogicSimulator.evaluate` call runs a
-  handful of large numpy segment kernels over one ``(n_signals, batch)``
-  state matrix, releasing the GIL for the bulk of the work;
-* ``"loop"`` — the reference per-gate Python loop (one vectorised evaluator
-  call per gate), kept as the bit-identical oracle for regression tests.
-
-Netlists the planner cannot fuse fall back to the loop transparently, which
-preserves the reference engine's lazy error behaviour for malformed gates.
+once: every net's value is a boolean array of shape ``(n_vectors,)``.  The
+sweep runs on the fused levelised kernel of
+:mod:`repro.simulation.compiled`: a :class:`CompiledNetlist` plan is built
+once per simulator and each :meth:`LogicSimulator.evaluate` call runs a
+handful of large numpy segment kernels over one bit-packed
+``(n_signals, batch)`` state matrix, releasing the GIL for the bulk of the
+work.  A netlist the planner cannot fuse (a malformed gate arity) is
+rejected with :class:`~repro.simulation.compiled.CompilationError` when the
+simulator is built.
 
 Sequential designs are handled by treating flip-flop outputs as additional
 inputs of the combinational core: :meth:`LogicSimulator.evaluate` accepts an
@@ -24,33 +20,22 @@ optional register state and returns the next state, and
 from __future__ import annotations
 
 from collections.abc import Mapping as AbcMapping
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..netlist.netlist import Netlist, NetlistError
-from .compiled import CompilationError, CompiledNetlist
-from .levelize import topological_gate_order
-from .logic import _EVALUATORS, evaluate_gate, supports_static_dispatch
-
-#: Simulation backends accepted by :class:`LogicSimulator` (and, downstream,
-#: by ``TvlaConfig.sim_backend`` / ``PowerTraceGenerator``).
-SIM_BACKENDS = ("compiled", "loop")
-
-
-class SimulationError(Exception):
-    """Raised for inconsistent stimulus (missing inputs, shape mismatch)."""
+from .compiled import CompiledNetlist, SimulationError
 
 
 class _StateNetValues(AbcMapping):
     """Lazy ``net -> value`` mapping over a compiled state matrix.
 
-    Behaves like the loop backend's ``net_values`` dictionary, but each
-    lookup returns a (read-only) row view of the state matrix, created on
-    demand.  Skipping the eager construction of one view object per net
-    keeps the compiled fast path free of per-net Python work; bulk
-    consumers should gather from
-    :attr:`SimulationResult.state_matrix` directly.
+    Each lookup returns a (read-only) row view of the state matrix, created
+    on demand.  Skipping the eager construction of one view object per net
+    keeps the fast path free of per-net Python work; bulk consumers should
+    gather from :attr:`SimulationResult.state_matrix` directly.
     """
 
     __slots__ = ("_matrix", "_rows")
@@ -76,74 +61,44 @@ class SimulationResult:
     """Values of every net for one evaluation batch.
 
     Attributes:
-        net_values: Mapping net name -> boolean array ``(n_vectors,)``.
-        next_state: Mapping DFF output net -> value captured at the clock
-            edge (i.e. the DFF input values of this evaluation).
         n_vectors: Batch size.
-        state_matrix: The compiled backend's read-only ``(n_signals,
-            n_vectors)`` state matrix (``None`` for the loop backend).
-            ``net_values`` entries are row views of it; bulk consumers
-            index it directly instead of walking the mapping — the power
-            engine adopts the plan's row numbering outright
-            (``plan.signal_index``), and ad-hoc net sets resolve rows via
-            :meth:`LogicSimulator.signal_rows`.
-        packed_matrix: The compiled backend's read-only ``(n_signals,
-            ceil(n_vectors / 8))`` **packed** byte matrix (``None`` for
-            the loop backend); bit layout per
+        plan: The compiled plan that produced this result; packed consumers
+            use it to resolve net names to packed-matrix rows
+            (:meth:`~repro.simulation.compiled.CompiledNetlist.rows_for`).
+        packed_matrix: The read-only ``(n_signals, ceil(n_vectors / 8))``
+            **packed** byte matrix; bit layout per
             :meth:`~repro.simulation.compiled.CompiledNetlist.execute_packed`.
 
-    Results from the compiled backend are **lazy**: the sweep produces
-    only ``packed_matrix``, and ``state_matrix`` / ``net_values`` /
-    ``next_state`` unpack it on first access (cached thereafter).
-    Consumers that stay on packed bits — the power engine's
-    ``power_backend="packed"`` toggle extraction — therefore never pay
-    the unpack, while every existing consumer sees the exact values it
-    always did.
+    Results are **lazy**: the sweep produces only ``packed_matrix``, and
+    :attr:`state_matrix` / :attr:`net_values` / :attr:`next_state` unpack
+    it on first access (cached thereafter).  Consumers that stay on packed
+    bits — the power engine's toggle extraction — therefore never pay the
+    unpack.
     """
 
-    __slots__ = ("n_vectors", "_net_values", "_next_state", "_state_matrix",
-                 "_packed", "_plan")
+    __slots__ = ("n_vectors", "plan", "packed_matrix", "_net_values",
+                 "_next_state", "_state_matrix")
 
-    def __init__(self, net_values: Optional[Mapping[str, np.ndarray]] = None,
-                 next_state: Optional[Dict[str, np.ndarray]] = None,
-                 n_vectors: int = 0,
-                 state_matrix: Optional[np.ndarray] = None) -> None:
+    def __init__(self, plan: CompiledNetlist, packed_matrix: np.ndarray,
+                 n_vectors: int) -> None:
         self.n_vectors = n_vectors
-        self._net_values = net_values
-        self._next_state = next_state
-        self._state_matrix = state_matrix
-        self._packed: Optional[np.ndarray] = None
-        self._plan: Optional[CompiledNetlist] = None
-
-    @classmethod
-    def from_packed(cls, plan: CompiledNetlist, packed: np.ndarray,
-                    n_vectors: int) -> "SimulationResult":
-        """Wrap a packed sweep result; unpacking is deferred to first use."""
-        result = cls(n_vectors=n_vectors)
-        result._plan = plan
-        result._packed = packed
-        return result
+        self.plan = plan
+        self.packed_matrix = packed_matrix
+        self._net_values: Optional[Mapping[str, np.ndarray]] = None
+        self._next_state: Optional[Dict[str, np.ndarray]] = None
+        self._state_matrix: Optional[np.ndarray] = None
 
     @property
-    def packed_matrix(self) -> Optional[np.ndarray]:
-        """The packed byte matrix (``None`` on the loop backend)."""
-        return self._packed
+    def state_matrix(self) -> np.ndarray:
+        """The read-only ``(n_signals, n_vectors)`` boolean state matrix.
 
-    @property
-    def plan(self) -> Optional[CompiledNetlist]:
-        """The compiled plan that produced this result (``None`` on loop).
-
-        Packed consumers use it to resolve net names to packed-matrix rows
-        (:meth:`~repro.simulation.compiled.CompiledNetlist.rows_for`).
+        Unpacked on first access.  ``net_values`` entries are row views of
+        it; bulk consumers index it directly, resolving rows via
+        :meth:`LogicSimulator.signal_rows`.
         """
-        return self._plan
-
-    @property
-    def state_matrix(self) -> Optional[np.ndarray]:
-        """The boolean state matrix, unpacked on first access."""
-        if self._state_matrix is None and self._packed is not None:
-            self._state_matrix = self._plan.unpack(self._packed,
-                                                   self.n_vectors)
+        if self._state_matrix is None:
+            self._state_matrix = self.plan.unpack(self.packed_matrix,
+                                                  self.n_vectors)
         return self._state_matrix
 
     @property
@@ -151,7 +106,7 @@ class SimulationResult:
         """Mapping net name -> boolean value array."""
         if self._net_values is None:
             self._net_values = _StateNetValues(self.state_matrix,
-                                               self._plan.signal_index)
+                                               self.plan.signal_index)
         return self._net_values
 
     @property
@@ -159,14 +114,13 @@ class SimulationResult:
         """Register next-state (private writable copies)."""
         if self._next_state is None:
             # Straight from the packed rows: advancing a sequential design
-            # on the packed path never forces a full-matrix unpack.
-            self._next_state = self._plan.next_state_packed(self._packed,
-                                                            self.n_vectors)
+            # never forces a full-matrix unpack.
+            self._next_state = self.plan.next_state_packed(self.packed_matrix,
+                                                           self.n_vectors)
         return self._next_state
 
     def __repr__(self) -> str:
-        return (f"SimulationResult(n_vectors={self.n_vectors}, "
-                f"packed={self._packed is not None})")
+        return f"SimulationResult(n_vectors={self.n_vectors})"
 
     def output_values(self, netlist: Netlist) -> Dict[str, np.ndarray]:
         """Values of the netlist's primary outputs."""
@@ -180,85 +134,35 @@ class SimulationResult:
 class LogicSimulator:
     """Reusable simulator bound to one netlist.
 
-    The evaluation plan is computed once in the constructor and reused
-    across every :meth:`evaluate` call (and every cycle of
-    :meth:`run_cycles`): the compiled backend builds a
-    :class:`~repro.simulation.compiled.CompiledNetlist` of fused levelised
-    segments, the loop backend resolves each gate's evaluator into a flat
-    topological list.
+    The :class:`~repro.simulation.compiled.CompiledNetlist` plan of fused
+    levelised segments is built once in the constructor and reused across
+    every :meth:`evaluate` call (and every cycle of :meth:`run_cycles`).
 
     Args:
         netlist: The design to simulate.
-        backend: ``"compiled"`` (default, the fused levelised kernel) or
-            ``"loop"`` (the per-gate reference sweep).  A netlist the
-            planner cannot fuse silently falls back to the loop; the
-            backend actually in use is exposed as :attr:`backend`.
 
     Raises:
-        ValueError: for unknown backend selectors.
+        CompilationError: if a gate cannot be fused (malformed arity, such
+            as a MUX without three inputs or a masked composite without
+            two data inputs).  No slower fallback exists.
     """
 
-    def __init__(self, netlist: Netlist, backend: str = "compiled") -> None:
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {SIM_BACKENDS}, got {backend!r}")
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self._dff_gates = list(netlist.sequential_gates())
-
-        #: The fused levelised plan, or ``None`` when the loop backend is
-        #: active (requested, or forced by an unfusable netlist).
-        self._plan: Optional[CompiledNetlist] = None
-        if backend == "compiled":
-            try:
-                self._plan = CompiledNetlist(netlist)
-            except CompilationError:
-                self._plan = None
-
-        # The loop dispatch plan is only built when it will actually run
-        # (requested loop backend, or compiled fallback): resolve each
-        # gate's evaluator, input tuple and output-inversion flag so the
-        # per-batch loop is a straight run of vectorised ufunc calls.
-        # Gates whose operand counts cannot be validated statically keep
-        # the checked :func:`evaluate_gate` path (and its lazy errors) —
-        # the same predicate the fused planner enforces, so the backends
-        # accept/reject identical netlists.
-        self._order: List[str] = []
-        self._compiled = []
-        if self._plan is None:
-            self._order = topological_gate_order(netlist)
-            for name in self._order:
-                gate = netlist.gate(name)
-                if supports_static_dispatch(gate.gate_type, len(gate.inputs)):
-                    evaluator = _EVALUATORS[gate.gate_type]
-                else:
-                    evaluator = (lambda operands, gate_type=gate.gate_type:
-                                 evaluate_gate(gate_type, operands))
-                # Masked composites that replaced an inverting primitive
-                # (NAND/NOR/XNOR) fold the inversion into their
-                # recombination stage; honour the transform's attribute.
-                inverted = bool(gate.gate_type.is_masked
-                                and gate.attributes.get("inverted_output"))
-                self._compiled.append(
-                    (evaluator, tuple(gate.inputs), gate.output, inverted))
-        #: The backend actually in use (``"compiled"`` or ``"loop"``).
-        self.backend: str = "compiled" if self._plan is not None else "loop"
+        self._plan = CompiledNetlist(netlist)
 
     @property
-    def plan(self) -> Optional[CompiledNetlist]:
-        """The compiled plan (``None`` when the loop backend is active)."""
+    def plan(self) -> CompiledNetlist:
+        """The fused levelised plan."""
         return self._plan
 
-    def signal_rows(self, nets: Sequence[str]) -> Optional[np.ndarray]:
+    def signal_rows(self, nets: Sequence[str]) -> np.ndarray:
         """State-matrix rows of ``nets`` for bulk gathers.
 
-        Returns ``None`` when the loop backend is active (no state matrix
-        exists); otherwise an index array suitable for
-        ``result.state_matrix[rows]``.  Unknown/undriven nets map to the
-        shared constant-zero row, matching the loop's zero-default
-        semantics.
+        Returns an index array suitable for ``result.state_matrix[rows]``.
+        Unknown/undriven nets map to the shared constant-zero row.
         """
-        if self._plan is None:
-            return None
         return self._plan.rows_for(nets)
 
     # ------------------------------------------------------------------
@@ -282,69 +186,13 @@ class LogicSimulator:
         Raises:
             SimulationError: if inputs are missing or shapes disagree.
         """
-        n_vectors = self._batch_size(input_values)
-        for net in self.netlist.primary_inputs:
-            if net not in input_values:
-                raise SimulationError(f"missing stimulus for primary input {net!r}")
-
-        state_values: Dict[str, np.ndarray] = {}
-        if state:
-            for gate in self._dff_gates:
-                if gate.output in state:
-                    value = np.asarray(state[gate.output], dtype=bool)
-                    if value.shape != (n_vectors,):
-                        raise SimulationError(
-                            f"state for register {gate.output!r} has shape "
-                            f"{value.shape}; expected ({n_vectors},)")
-                    state_values[gate.output] = value
-
-        if self._plan is not None:
-            # The plan casts/copies stimulus while packing, so no per-net
-            # asarray pass is needed on this path.  The result stays packed
-            # until someone actually asks for boolean values.
-            packed = self._plan.execute_packed(input_values, state_values,
-                                               n_vectors)
-            return SimulationResult.from_packed(self._plan, packed, n_vectors)
-
-        values: Dict[str, np.ndarray] = {}
-        for net in self.netlist.primary_inputs:
-            values[net] = np.asarray(input_values[net], dtype=bool)
-
-        # One shared default buffer backs every undriven net and DFF
-        # default; it is marked read-only so an in-place mutation by a
-        # caller (or engine code) raises instead of silently corrupting
-        # unrelated nets across cycles.
-        zeros = np.zeros(n_vectors, dtype=bool)
-        zeros.setflags(write=False)
-        for gate in self._dff_gates:
-            if gate.output in state_values:
-                values[gate.output] = state_values[gate.output]
-            else:
-                values[gate.output] = zeros
-
-        for evaluator, inputs, output_net, inverted in self._compiled:
-            operands = []
-            for net in inputs:
-                value = values.get(net)
-                if value is None:
-                    # Undriven net: treat as constant 0 (matches common EDA
-                    # semantics for floating inputs after optimisation).
-                    values[net] = zeros
-                    value = zeros
-                operands.append(value)
-            output = evaluator(operands)
-            if inverted:
-                output = np.logical_not(output)
-            values[output_net] = output
-
-        next_state: Dict[str, np.ndarray] = {}
-        for gate in self._dff_gates:
-            data_net = gate.inputs[0]
-            # Export a private copy: callers may mutate the returned state
-            # (e.g. to force register values) without aliasing net values
-            # still referenced by this result or by the shared zero buffer.
-            next_state[gate.output] = values.get(data_net, zeros).copy()
-        return SimulationResult(values, next_state, n_vectors)
+        n_vectors, state_values = self._check_stimulus(input_values, state)
+        # The plan casts/copies stimulus while packing, so no per-net
+        # asarray pass is needed.  The result stays packed until someone
+        # actually asks for boolean values.
+        packed = self._plan.execute_packed(input_values, state_values,
+                                           n_vectors)
+        return SimulationResult(self._plan, packed, n_vectors)
 
     def run_cycles(
         self,
@@ -369,6 +217,37 @@ class LogicSimulator:
         return results
 
     # ------------------------------------------------------------------
+    def _check_stimulus(
+        self,
+        input_values: Mapping[str, np.ndarray],
+        state: Optional[Mapping[str, np.ndarray]],
+    ) -> Tuple[int, Dict[str, np.ndarray]]:
+        """Validate one evaluation's stimulus.
+
+        Returns:
+            ``(n_vectors, state_values)``: the batch size and the boolean
+            value of every register present in ``state``.
+
+        Raises:
+            SimulationError: if inputs are missing or shapes disagree.
+        """
+        n_vectors = self._batch_size(input_values)
+        for net in self.netlist.primary_inputs:
+            if net not in input_values:
+                raise SimulationError(f"missing stimulus for primary input {net!r}")
+
+        state_values: Dict[str, np.ndarray] = {}
+        if state:
+            for gate in self._dff_gates:
+                if gate.output in state:
+                    value = np.asarray(state[gate.output], dtype=bool)
+                    if value.shape != (n_vectors,):
+                        raise SimulationError(
+                            f"state for register {gate.output!r} has shape "
+                            f"{value.shape}; expected ({n_vectors},)")
+                    state_values[gate.output] = value
+        return n_vectors, state_values
+
     def _batch_size(self, input_values: Mapping[str, np.ndarray]) -> int:
         if not input_values:
             raise SimulationError("no input stimulus provided")

@@ -47,8 +47,7 @@ import numpy as np
 from ..netlist.netlist import Netlist
 from ..power.ctrsample import SAMPLERS, CounterStream
 from ..power.model import PowerModelConfig
-from ..power.traces import POWER_BACKENDS, PowerTraceGenerator
-from ..simulation.simulator import SIM_BACKENDS
+from ..power.traces import PowerTraceGenerator
 from ..simulation.vectors import (
     TraceCampaign,
     fixed_vs_fixed_campaigns,
@@ -103,22 +102,6 @@ class TvlaConfig:
             above 1 are computed from the moment accumulators (the engine
             tracks central moments up to ``2 * tvla_order``), so they force
             the streaming path regardless of ``streaming``.
-        sim_backend: Logic-simulation backend driving trace generation:
-            ``"compiled"`` (default) runs the fused levelised kernel of
-            :mod:`repro.simulation.compiled`, which releases the GIL for
-            the bulk of each chunk and lets thread-pool shards scale;
-            ``"loop"`` keeps the per-gate reference sweep (the regression
-            oracle).  Both backends generate bit-identical traces, so
-            t-values agree exactly for a given seed.
-        power_backend: Toggle-extraction backend of the power engine:
-            ``"packed"`` (default) consumes the simulator's bit-packed
-            state matrix directly — the boolean state matrix is never
-            materialised between simulation and power extraction;
-            ``"unpacked"`` keeps the bool-matrix path as the bit-identical
-            oracle.  Traces — and therefore t-values — are exactly equal
-            either way (pinned by ``tests/test_packed_power.py``); with
-            ``sim_backend="loop"`` there is no packed matrix and
-            ``"packed"`` silently degrades to ``"unpacked"``.
         sampler: Mask/noise sampling discipline: ``"counter"`` (default)
             draws every chunk's randomness straight off Philox counter
             blocks addressed by ``(seed, class, group, chunk, lane)``
@@ -130,10 +113,7 @@ class TvlaConfig:
             two samplers draw from different streams, so their t-values
             differ numerically (both are valid TVLA campaigns); within a
             sampler, results are exactly equal across any chunking,
-            sharding or executor layout.  ``"counter"`` requires the
-            vectorised trace engine and degrades to ``"sequence"`` for
-            loop-engine generators, mirroring the packed->unpacked
-            fallback.
+            sharding or executor layout.
     """
 
     n_traces: int = 1000
@@ -145,8 +125,6 @@ class TvlaConfig:
     chunk_traces: int = 2048
     streaming: Optional[bool] = None
     tvla_order: int = 1
-    sim_backend: str = "compiled"
-    power_backend: str = "packed"
     sampler: str = "counter"
 
     def __post_init__(self) -> None:
@@ -159,14 +137,6 @@ class TvlaConfig:
             raise ValueError(
                 f"tvla_order must be one of {SUPPORTED_TVLA_ORDERS}, "
                 f"got {self.tvla_order!r}")
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"sim_backend must be one of {SIM_BACKENDS}, "
-                f"got {self.sim_backend!r}")
-        if self.power_backend not in POWER_BACKENDS:
-            raise ValueError(
-                f"power_backend must be one of {POWER_BACKENDS}, "
-                f"got {self.power_backend!r}")
 
     def resolved_streaming(self) -> bool:
         """Whether assessments with this config stream their moments.
@@ -387,21 +357,7 @@ def chunk_seed_streams(seed: int, class_index: int, group_index: int,
     return group_seq.spawn(n_chunks)
 
 
-def resolve_sampler(config: TvlaConfig,
-                    generator: PowerTraceGenerator) -> str:
-    """The sampler discipline that will actually run.
-
-    ``"counter"`` needs the vectorised trace engine (its draws feed the
-    matrix pipeline's table gathers directly); a loop-engine generator
-    degrades it to ``"sequence"``, mirroring the packed->unpacked
-    power-backend fallback.
-    """
-    if config.sampler == "counter" and not generator.vectorised:
-        return "sequence"
-    return config.sampler
-
-
-def _group_stream_kwargs(config: TvlaConfig, sampler: str, class_index: int,
+def _group_stream_kwargs(config: TvlaConfig, class_index: int,
                          group_index: int, first_chunk: int,
                          n_local: int) -> dict:
     """``generate_stream`` randomness arguments for one campaign group.
@@ -410,7 +366,7 @@ def _group_stream_kwargs(config: TvlaConfig, sampler: str, class_index: int,
     chunk offset.  Sequence sampler: the slice of spawned per-chunk seed
     streams matching the same global chunk range.
     """
-    if sampler == "counter":
+    if config.sampler == "counter":
         return {"counter_stream": CounterStream(config.seed, class_index,
                                                 group_index),
                 "first_chunk": first_chunk}
@@ -446,11 +402,10 @@ def accumulate_campaign_slice(
     max_order = config.moment_order()
     accumulators = (OnePassMoments(max_order=max_order, shape=shape),
                     OnePassMoments(max_order=max_order, shape=shape))
-    sampler = resolve_sampler(config, generator)
     for group_index, campaign in enumerate(pair):
         n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        kwargs = _group_stream_kwargs(config, sampler, class_index,
-                                      group_index, first_chunk, n_local)
+        kwargs = _group_stream_kwargs(config, class_index, group_index,
+                                      first_chunk, n_local)
         for traces in generator.generate_stream(campaign, config.chunk_traces,
                                                 **kwargs):
             accumulators[group_index].update_batch(traces.per_gate)
@@ -482,11 +437,10 @@ def accumulate_campaign_chunks(
     shape = (generator.n_gates,)
     max_order = config.moment_order()
     per_chunk: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
-    sampler = resolve_sampler(config, generator)
     for group_index, campaign in enumerate(pair):
         n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        kwargs = _group_stream_kwargs(config, sampler, class_index,
-                                      group_index, first_chunk, n_local)
+        kwargs = _group_stream_kwargs(config, class_index, group_index,
+                                      first_chunk, n_local)
         for traces in generator.generate_stream(campaign, config.chunk_traces,
                                                 **kwargs):
             accumulator = OnePassMoments(max_order=max_order, shape=shape)
@@ -518,10 +472,9 @@ def _class_results(generator: PowerTraceGenerator, pair: CampaignPair,
                                                class_index)
         return results_from_accumulators(acc0, acc1, config)
     blocks: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
-    sampler = resolve_sampler(config, generator)
     for group_index, campaign in enumerate(pair):
-        kwargs = _group_stream_kwargs(config, sampler, class_index,
-                                      group_index, 0, config.n_chunks())
+        kwargs = _group_stream_kwargs(config, class_index, group_index, 0,
+                                      config.n_chunks())
         for traces in generator.generate_stream(campaign, config.chunk_traces,
                                                 **kwargs):
             blocks[group_index].append(traces.per_gate)
@@ -616,9 +569,7 @@ def resolve_generator(netlist: Netlist, config: TvlaConfig,
     """Return a generator for ``netlist``, validating a caller-supplied one."""
     if generator is None:
         return PowerTraceGenerator(netlist, config=config.power,
-                                   seed=config.seed,
-                                   sim_backend=config.sim_backend,
-                                   power_backend=config.power_backend)
+                                   seed=config.seed)
     if generator.netlist is not netlist:
         raise ValueError(
             f"generator was built for netlist {generator.netlist.name!r}, "

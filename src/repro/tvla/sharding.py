@@ -27,8 +27,7 @@ Three properties make the result trustworthy:
   for any shard count and executor.
 * **Pluggable executors** — ``"serial"`` (inline), ``"thread"``
   (:class:`~concurrent.futures.ThreadPoolExecutor`; workers share one
-  read-only trace generator per design, or rebuild private ones when the
-  reference loop engine is selected) or ``"process"``
+  read-only trace generator per design) or ``"process"``
   (:class:`~concurrent.futures.ProcessPoolExecutor`, platform-default
   start method; workers rebuild the generator from the pickled netlist).
   An existing :class:`~concurrent.futures.Executor` instance can be
@@ -58,7 +57,6 @@ from .assessment import (
     aggregate_class_results,
     campaign_schedule,
     resolve_generator,
-    resolve_sampler,
     results_from_accumulators,
     validate_campaigns,
 )
@@ -119,6 +117,13 @@ def shard_trace_ranges(n_traces: int, n_shards: int,
     return tuple(ranges)
 
 
+def _shard_accumulator(config: TvlaConfig):
+    """Per-chunk accumulators under the counter sampler, one running pair
+    under the sequence sampler (see :func:`merge_shard_partials`)."""
+    return (accumulate_campaign_chunks if config.sampler == "counter"
+            else accumulate_campaign_slice)
+
+
 def _shard_moments(generator: PowerTraceGenerator,
                    campaigns: Sequence[CampaignPair], config: TvlaConfig,
                    start: int, stop: int) -> ShardPartials:
@@ -129,9 +134,7 @@ def _shard_moments(generator: PowerTraceGenerator,
     see :func:`merge_shard_partials` for why the forms differ.
     """
     first_chunk = start // config.chunk_traces
-    accumulate = (accumulate_campaign_chunks
-                  if resolve_sampler(config, generator) == "counter"
-                  else accumulate_campaign_slice)
+    accumulate = _shard_accumulator(config)
     partials: ShardPartials = []
     for class_index, pair in enumerate(campaigns):
         sliced = (pair[0].slice(start, stop), pair[1].slice(start, stop))
@@ -142,31 +145,20 @@ def _shard_moments(generator: PowerTraceGenerator,
 
 def _shard_moments_rebuilt(netlist: Netlist,
                            sliced_campaigns: Sequence[CampaignPair],
-                           config: TvlaConfig, first_chunk: int,
-                           vectorised: bool = True) -> ShardPartials:
+                           config: TvlaConfig,
+                           first_chunk: int) -> ShardPartials:
     """Worker entry point that builds its own generator, then folds a shard.
 
     Module-level (picklable) and self-contained: the worker receives the
     netlist plus already-sliced campaigns, so only the shard's stimulus
     crosses a process boundary; ``first_chunk`` anchors the slices to
-    their global RNG streams (each chunk consumes the
-    :func:`repro.tvla.assessment.chunk_seed_streams` stream of its global
+    their global RNG streams (each chunk consumes the draws of its global
     ``(seed, class, group, chunk)`` coordinates, which is what makes the
-    result shard-layout invariant).  Also used by the thread pool when the
-    reference loop engine is selected (``vectorised=False``): the loop
-    path mutates per-generator model state, so each task gets a private
-    generator instead of sharing one.  The simulation and power backends
-    follow ``config.sim_backend``/``config.power_backend``, so a campaign
-    runs the same extraction pipeline no matter which worker rebuilt the
-    generator.
+    result shard-layout invariant).
     """
     generator = PowerTraceGenerator(netlist, config=config.power,
-                                    seed=config.seed, vectorised=vectorised,
-                                    sim_backend=config.sim_backend,
-                                    power_backend=config.power_backend)
-    accumulate = (accumulate_campaign_chunks
-                  if resolve_sampler(config, generator) == "counter"
-                  else accumulate_campaign_slice)
+                                    seed=config.seed)
+    accumulate = _shard_accumulator(config)
     return [
         accumulate(generator, pair, config, class_index,
                    first_chunk=first_chunk)
@@ -253,8 +245,8 @@ def _submit_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
     ranges = shard_trace_ranges(config.n_traces, n_shards,
                                 config.chunk_traces)
     # Resolved in every branch: process workers rebuild their generator,
-    # but the gate order (and the vectorised flag to preserve) is a pure
-    # function of the netlist + power plan, so derive both locally once.
+    # but the gate order is a pure function of the netlist + power plan, so
+    # derive it locally once.
     generator = resolve_generator(netlist, config, generator)
     futures: List["Future[ShardPartials]"] = []
     if pool is None:
@@ -263,19 +255,14 @@ def _submit_design(netlist: Netlist, config: TvlaConfig, n_shards: int,
             future.set_result(
                 _shard_moments(generator, campaigns, config, start, stop))
             futures.append(future)
-    elif ship_netlist or not generator.vectorised:
-        # Process pools always rebuild per worker; thread pools do too when
-        # the reference loop engine is selected, because generate_loop
-        # mutates per-generator model state and must not be shared across
-        # concurrent tasks.
+    elif ship_netlist:
         for start, stop in ranges:
             sliced = tuple(
                 (pair[0].slice(start, stop), pair[1].slice(start, stop))
                 for pair in campaigns)
             futures.append(pool.submit(_shard_moments_rebuilt, netlist,
                                        sliced, config,
-                                       start // config.chunk_traces,
-                                       generator.vectorised))
+                                       start // config.chunk_traces))
     else:
         for start, stop in ranges:
             futures.append(pool.submit(_shard_moments, generator, campaigns,

@@ -38,6 +38,7 @@ from repro.campaign import (
     campaign_status,
     collect_result,
     list_campaigns,
+    load_spec,
     pack_shard_moments,
     run_campaign,
     run_worker,
@@ -842,6 +843,27 @@ class TestCampaignRunner:
             submit_campaign(campaign_root)
 
 
+def _legacy_spec_data(spec, spec_format, drop=(), **tvla_extra):
+    """``spec`` as a spec file of an older format, with a valid stored hash.
+
+    Legacy formats hashed the canonical JSON of the payload stored in the
+    file, format number included; ``drop``/``tvla_extra`` reshape the
+    stored TVLA config to that format's fields.
+    """
+    import hashlib
+    data = json.loads(spec.to_json())
+    data["format"] = spec_format
+    for key in drop:
+        del data["tvla"][key]
+    data["tvla"].update(tvla_extra)
+    payload = {key: data[key] for key in
+               ("format", "design_name", "bench_text", "tvla", "n_shards")}
+    data["content_hash"] = hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+    return data
+
+
 # ----------------------------------------------------------------------
 # Sampler disciplines through the durable runner (PR 8)
 # ----------------------------------------------------------------------
@@ -911,15 +933,12 @@ class TestSamplerCampaigns:
         # no "sampler" key, content hash over the format-2 payload.  It
         # must load as a sequence campaign and re-verify its stored hash.
         import dataclasses
-        import hashlib
         legacy_config = dataclasses.replace(campaign_config,
                                             sampler="sequence")
         spec = CampaignSpec.from_netlist(small_benchmark, legacy_config, 3)
-        data = json.loads(spec.to_json())
-        data["format"] = 2
-        del data["tvla"]["sampler"]
-        data["content_hash"] = hashlib.sha256(
-            spec.canonical_payload(2).encode("utf-8")).hexdigest()
+        data = _legacy_spec_data(spec, 2, drop=("sampler",),
+                                 sim_backend="compiled",
+                                 power_backend="packed")
         loaded = CampaignSpec.from_json(json.dumps(data))
         assert loaded == spec
         assert loaded.tvla.sampler == "sequence"
@@ -927,18 +946,52 @@ class TestSamplerCampaigns:
     def test_format2_tampering_still_detected(self, small_benchmark,
                                               campaign_config):
         import dataclasses
-        import hashlib
         legacy_config = dataclasses.replace(campaign_config,
                                             sampler="sequence")
         spec = CampaignSpec.from_netlist(small_benchmark, legacy_config, 3)
-        data = json.loads(spec.to_json())
-        data["format"] = 2
-        del data["tvla"]["sampler"]
-        data["content_hash"] = hashlib.sha256(
-            spec.canonical_payload(2).encode("utf-8")).hexdigest()
+        data = _legacy_spec_data(spec, 2, drop=("sampler",),
+                                 sim_backend="compiled",
+                                 power_backend="packed")
         data["n_shards"] = 5
         with pytest.raises(ValueError, match="hash mismatch"):
             CampaignSpec.from_json(json.dumps(data))
+
+    def test_format3_oracle_selectors_load_as_default_spec(
+            self, small_benchmark, campaign_config):
+        # Format 3 hashed the simulation and power-extraction selectors;
+        # every value was bit-identical, so even the oracle values load
+        # as the one campaign the single trace engine runs.
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, 3, sim_backend="loop",
+                                 power_backend="unpacked")
+        loaded = CampaignSpec.from_json(json.dumps(data))
+        assert loaded == spec
+        assert loaded.content_hash == spec.content_hash
+        assert loaded.content_hash != data["content_hash"]
+
+    def test_format3_tampering_still_detected(self, small_benchmark,
+                                              campaign_config):
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, 3, sim_backend="compiled",
+                                 power_backend="packed")
+        data["tvla"]["seed"] += 1
+        with pytest.raises(ValueError, match="hash mismatch"):
+            CampaignSpec.from_json(json.dumps(data))
+
+    def test_legacy_campaign_directory_is_not_reused(self, small_benchmark,
+                                                     campaign_config,
+                                                     campaign_root):
+        # A campaign directory is named by its spec's hash.  A legacy
+        # directory's spec loads, but hashes differently under the current
+        # format, so load_spec refuses it instead of silently recomputing.
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, 3, sim_backend="compiled",
+                                 power_backend="packed")
+        paths = CampaignPaths(campaign_root, data["content_hash"])
+        paths.campaign_dir.mkdir(parents=True)
+        paths.spec_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="holds a spec hashing to"):
+            load_spec(campaign_root, data["content_hash"])
 
     def test_unknown_spec_format_rejected(self, small_benchmark,
                                           campaign_config):
@@ -1261,35 +1314,6 @@ class TestCli:
         assert cli_main(["result", "--root", str(campaign_root), spec_hash,
                          "--timeout", "0.2"]) == 1
         assert "missing shards" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Optional distributed adapters
-# ----------------------------------------------------------------------
-class TestAdapters:
-    def test_guarded_imports(self):
-        from repro.campaign import (OptionalDependencyError, dask_executor,
-                                    mpi_executor)
-        for factory, module in ((dask_executor, "distributed"),
-                                (mpi_executor, "mpi4py")):
-            try:
-                __import__(module)
-            except ImportError:
-                with pytest.raises(OptionalDependencyError,
-                                   match="QueueExecutor"):
-                    factory()
-            else:  # pragma: no cover - depends on the environment
-                pytest.skip(f"{module} installed; adapter exercised there")
-
-    def test_cross_process_proxy(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
-        from repro.campaign import CrossProcessExecutor
-        inner = ThreadPoolExecutor(max_workers=1)
-        proxy = CrossProcessExecutor(inner, owns_inner=True)
-        assert proxy.cross_process
-        assert proxy.submit(_double, 21).result(timeout=10) == 42
-        proxy.shutdown()
-        assert inner._shutdown
 
 
 # ----------------------------------------------------------------------

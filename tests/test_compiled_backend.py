@@ -1,9 +1,10 @@
-"""Cross-backend equivalence: the fused compiled kernel vs the gate loop.
+"""Equivalence of the fused compiled kernel and the per-gate loop oracle.
 
-The compiled backend (``repro.simulation.compiled``) must be **bit-identical**
-to the per-gate reference loop on every net of every design — that is the
-contract that lets ``TvlaConfig.sim_backend`` default to ``"compiled"``
-without perturbing any published t-value.  This module pins it down over
+The compiled sweep (``repro.simulation.compiled``) must be **bit-identical**
+to the per-gate reference loop (``tests.oracles.LoopSimulator``) on every
+net of every design — that is the contract that lets the compiled kernel be
+the only production simulator without perturbing any published t-value.
+This module pins it down over
 
 * a hand-built netlist covering every combinational cell-library gate type
   (including wide fan-ins, MUX, masked composites and the
@@ -33,20 +34,21 @@ from repro.simulation import (
     CompilationError,
     CompiledNetlist,
     LogicSimulator,
+    SimulationError,
     fixed_vs_random_campaigns,
 )
 from repro.tvla import TvlaConfig, assess_leakage, assess_leakage_sharded
+
+from tests.oracles import LoopSimulator, UnpackedPowerTraceGenerator
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def assert_backends_agree(netlist, n_vectors=256, seed=0, cycles=1):
-    """Evaluate ``netlist`` on both backends and require bit-equality."""
-    fast = LogicSimulator(netlist, backend="compiled")
-    slow = LogicSimulator(netlist, backend="loop")
-    assert fast.backend == "compiled", "planner unexpectedly fell back"
-    assert slow.backend == "loop"
+    """Evaluate ``netlist`` on the kernel and the loop; require bit-equality."""
+    fast = LogicSimulator(netlist)
+    slow = LoopSimulator(netlist)
     rng = np.random.default_rng(seed)
     stimulus = [
         {net: rng.integers(0, 2, n_vectors).astype(bool)
@@ -114,8 +116,7 @@ class TestGateTypeCoverage:
         fast = assert_backends_agree(all_gate_types_netlist(), cycles=3,
                                      n_vectors=512)
         # Every combinational gate of the design went through the fused
-        # kernels (no silent fallback, no gate left unplanned).
-        assert fast.plan is not None
+        # kernels (no gate left unplanned).
         assert fast.plan.n_gates == sum(
             1 for g in all_gate_types_netlist().gates
             if g.gate_type.is_combinational)
@@ -176,13 +177,11 @@ class TestTvlaEquivalence:
         netlist = load_benchmark("arbiter", scale=0.15, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         for design in (netlist, masked):
-            results = {}
-            for backend in ("compiled", "loop"):
-                config = TvlaConfig(n_traces=160, n_fixed_classes=2, seed=5,
-                                    chunk_traces=64, tvla_order=2,
-                                    sim_backend=backend)
-                results[backend] = assess_leakage(design, config)
-            compiled, loop = results["compiled"], results["loop"]
+            config = TvlaConfig(n_traces=160, n_fixed_classes=2, seed=5,
+                                chunk_traces=64, tvla_order=2)
+            compiled = assess_leakage(design, config)
+            loop = assess_leakage(design, config, generator=_loop_generator(
+                design, config))
             assert compiled.gate_names == loop.gate_names
             # Identical traces feed identical accumulators, so the
             # agreement is exact — well inside the ~1e-12 contract.
@@ -197,9 +196,7 @@ class TestTvlaEquivalence:
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
                             chunk_traces=32, streaming=True)
         serial_loop = assess_leakage(
-            netlist, TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                                chunk_traces=32, streaming=True,
-                                sim_backend="loop"))
+            netlist, config, generator=_loop_generator(netlist, config))
         sharded = assess_leakage_sharded(netlist, config, n_shards=4,
                                          executor="thread", max_workers=2)
         np.testing.assert_allclose(sharded.t_values, serial_loop.t_values,
@@ -209,10 +206,9 @@ class TestTvlaEquivalence:
         netlist = load_benchmark("sin", scale=0.2, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         fixed, rnd = fixed_vs_random_campaigns(masked, 200, seed=1)
-        compiled_gen = PowerTraceGenerator(masked, seed=1,
-                                           sim_backend="compiled")
-        loop_sim_gen = PowerTraceGenerator(masked, seed=1,
-                                           sim_backend="loop")
+        compiled_gen = PowerTraceGenerator(masked, seed=1)
+        loop_sim_gen = UnpackedPowerTraceGenerator(masked, seed=1,
+                                                   loop_simulation=True)
         for campaign in (fixed, rnd):
             fast = compiled_gen.generate(campaign,
                                          rng=np.random.default_rng(3))
@@ -220,6 +216,13 @@ class TestTvlaEquivalence:
                                          rng=np.random.default_rng(3))
             assert fast.gate_names == slow.gate_names
             np.testing.assert_array_equal(fast.per_gate, slow.per_gate)
+
+
+def _loop_generator(netlist, config):
+    """Trace generator simulating with the per-gate loop oracle."""
+    return UnpackedPowerTraceGenerator(netlist, config=config.power,
+                                       seed=config.seed,
+                                       loop_simulation=True)
 
 
 class TestPlanStructure:
@@ -246,7 +249,6 @@ class TestPlanStructure:
         stimulus = {net: rng.integers(0, 2, 65).astype(bool)
                     for net in netlist.primary_inputs}
         result = simulator.evaluate(stimulus)
-        assert result.state_matrix is not None
         nets = list(result.net_values)
         rows = simulator.signal_rows(nets)
         gathered = result.state_matrix[rows]
@@ -256,7 +258,6 @@ class TestPlanStructure:
 
     def test_compiled_net_values_are_read_only(self, tiny_netlist):
         simulator = LogicSimulator(tiny_netlist)
-        assert simulator.backend == "compiled"
         stimulus = {net: np.ones(8, dtype=bool)
                     for net in tiny_netlist.primary_inputs}
         result = simulator.evaluate(stimulus)
@@ -266,26 +267,28 @@ class TestPlanStructure:
             result.state_matrix[:] = False
 
 
-class TestFallback:
-    def test_malformed_mux_falls_back_to_loop(self):
-        netlist = Netlist("bad_mux")
+class TestNoSilentFallback:
+    """A netlist the planner cannot fuse is rejected when the simulator is
+    built; there is no slower path to degrade to."""
+
+    @staticmethod
+    def _netlist(gate_type, inputs):
+        netlist = Netlist("malformed")
         for net in ("a", "b"):
             netlist.add_primary_input(net)
-        netlist.add_gate("g_mux", GateType.MUX, ["a", "b"], "y")
+        netlist.add_gate("g", gate_type, inputs, "y",
+                         attributes={"masked_from": "AND"})
         netlist.add_primary_output("y")
-        with pytest.raises(CompilationError):
-            CompiledNetlist(netlist)
-        simulator = LogicSimulator(netlist, backend="compiled")
-        assert simulator.backend == "loop"
-        # The loop backend preserves the reference engine's lazy error.
-        with pytest.raises(ValueError, match="MUX requires exactly 3"):
-            simulator.evaluate({net: np.zeros(4, dtype=bool)
-                                for net in netlist.primary_inputs})
+        return netlist
 
-    def test_unknown_backend_rejected(self, tiny_netlist):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            LogicSimulator(tiny_netlist, backend="turbo")
-
-    def test_unknown_sim_backend_rejected_in_config(self):
-        with pytest.raises(ValueError, match="sim_backend must be one of"):
-            TvlaConfig(sim_backend="turbo")
+    @pytest.mark.parametrize("gate_type, inputs, message", [
+        (GateType.MUX, ["a", "b"], "cannot be fused"),
+        (GateType.MASKED_AND, ["a"], "masked gate 'g' has 1 input"),
+    ], ids=["mux_2_inputs", "masked_1_input"])
+    def test_unfusable_netlist_raises_at_construction(self, gate_type,
+                                                      inputs, message):
+        netlist = self._netlist(gate_type, inputs)
+        with pytest.raises(CompilationError, match=message):
+            LogicSimulator(netlist)
+        with pytest.raises(SimulationError, match=message):
+            PowerTraceGenerator(netlist)

@@ -55,9 +55,10 @@ from repro.tvla.assessment import (
     accumulate_campaign_chunks,
     accumulate_campaign_slice,
     campaign_schedule,
-    resolve_sampler,
 )
 from repro.tvla.sharding import merge_shard_partials
+
+from tests.oracles import UnpackedPowerTraceGenerator, generate_loop
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -306,9 +307,8 @@ class TestCounterTraceEngine:
         campaign = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)[1]
         draws = CounterDraws(17, 0, 1, 0)
         per_backend = []
-        for backend in ("packed", "unpacked"):
-            generator = PowerTraceGenerator(masked_arbiter, config=config,
-                                            seed=1, power_backend=backend)
+        for cls in (PowerTraceGenerator, UnpackedPowerTraceGenerator):
+            generator = cls(masked_arbiter, config=config, seed=1)
             per_backend.append(generator.generate(campaign, draws=draws)
                                .per_gate)
         assert np.array_equal(per_backend[0], per_backend[1])
@@ -320,24 +320,6 @@ class TestCounterTraceEngine:
         with pytest.raises(ValueError):
             generator.generate(campaign, rng=np.random.default_rng(1),
                                draws=CounterDraws(1, 0, 0, 0))
-
-    def test_loop_engine_rejects_counter_draws(self, masked_arbiter):
-        generator = PowerTraceGenerator(masked_arbiter,
-                                        config=PowerModelConfig(), seed=1,
-                                        vectorised=False)
-        campaign = fixed_vs_random_campaigns(masked_arbiter, 9, seed=2)[0]
-        with pytest.raises(ValueError):
-            generator.generate(campaign, draws=CounterDraws(1, 0, 0, 0))
-
-    def test_resolve_sampler_degrades_for_loop_engine(self, masked_arbiter):
-        config = TvlaConfig(n_traces=16, sampler="counter")
-        loop = PowerTraceGenerator(masked_arbiter,
-                                   config=config.power, seed=config.seed,
-                                   vectorised=False)
-        fast = PowerTraceGenerator(masked_arbiter,
-                                   config=config.power, seed=config.seed)
-        assert resolve_sampler(config, loop) == "sequence"
-        assert resolve_sampler(config, fast) == "counter"
 
     def test_sampler_knob_validated(self):
         with pytest.raises(ValueError, match="sampler"):
@@ -492,7 +474,7 @@ class TestSequenceGoldenDraws:
         config = (PowerModelConfig(noise_sigma=0.0) if noise_mode == "none"
                   else PowerModelConfig(noise_mode=noise_mode))
         generator = PowerTraceGenerator(masked_arbiter, config=config,
-                                        seed=1, power_backend="packed")
+                                        seed=1)
         fixed, random = fixed_vs_random_campaigns(masked_arbiter, 93, seed=2)
         for label, campaign in (("fixed", fixed), ("random", random)):
             traces = generator.generate(campaign,
@@ -504,9 +486,10 @@ class TestSequenceGoldenDraws:
         generator = PowerTraceGenerator(masked_arbiter,
                                         config=PowerModelConfig(
                                             noise_mode="fast"),
-                                        seed=1, vectorised=False)
+                                        seed=1)
         campaign = fixed_vs_random_campaigns(masked_arbiter, 17, seed=3)[0]
-        traces = generator.generate(campaign, rng=np.random.default_rng(9))
+        traces = generate_loop(generator, campaign,
+                               rng=np.random.default_rng(9))
         assert self._digest(traces) == self.GOLDEN["loop/fast"]
 
 

@@ -1,12 +1,13 @@
 """The packed end-to-end hot path is bit-identical to its oracles.
 
-Two independent contracts make ``power_backend="packed"`` and the fused
-moment update safe defaults:
+Two independent contracts make the packed toggle extraction and the fused
+moment update safe as the only production path:
 
 * **Packed == unpacked traces.**  The packed toggle extraction (XOR over
   packed state bytes + single unpack of the watched rows; masked data
   codes assembled from packed share rows) must produce the same bytes the
-  bool-matrix oracle produces — for every netlist, every noise mode and
+  bool-matrix oracle (``tests.oracles.UnpackedPowerTraceGenerator``)
+  produces — for every netlist, every noise mode and
   every batch size, including batches that do not fill the last packed
   byte.  Identical traces then make t-values *exactly* equal, not merely
   close.
@@ -40,9 +41,12 @@ from repro.simulation import (
     LogicSimulator,
     fixed_vs_random_campaigns,
     toggle_counts,
+    toggle_matrix,
 )
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage, \
     assess_leakage_sharded
+
+from tests.oracles import LoopSimulator, UnpackedPowerTraceGenerator
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -64,10 +68,8 @@ def _generators(netlist, noise_mode: str, mask_refresh: bool = True):
         config = PowerModelConfig(noise_mode=config.noise_mode,
                                   noise_sigma=config.noise_sigma,
                                   mask_refresh=False)
-    packed = PowerTraceGenerator(netlist, config=config, seed=1,
-                                 power_backend="packed")
-    unpacked = PowerTraceGenerator(netlist, config=config, seed=1,
-                                   power_backend="unpacked")
+    packed = PowerTraceGenerator(netlist, config=config, seed=1)
+    unpacked = UnpackedPowerTraceGenerator(netlist, config=config, seed=1)
     return packed, unpacked
 
 
@@ -94,8 +96,6 @@ class TestPackedTraceEquality:
             if targets:
                 netlist = apply_masking(netlist, targets).netlist
         packed, unpacked = _generators(netlist, noise_mode)
-        assert packed.resolved_power_backend == "packed"
-        assert unpacked.resolved_power_backend == "unpacked"
         campaigns = fixed_vs_random_campaigns(netlist, n_traces, seed=seed)
         for campaign in campaigns:
             fast = packed.generate(campaign, rng=np.random.default_rng(3))
@@ -123,14 +123,13 @@ class TestPackedTraceEquality:
         netlist = load_benchmark("voter", scale=0.2, seed=11)
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         for design in (netlist, masked):
-            results = {}
-            for backend in ("packed", "unpacked"):
-                config = TvlaConfig(n_traces=165, n_fixed_classes=2, seed=5,
-                                    chunk_traces=52, streaming=True,
-                                    tvla_order=tvla_order,
-                                    power_backend=backend)
-                results[backend] = assess_leakage(design, config)
-            fast, slow = results["packed"], results["unpacked"]
+            config = TvlaConfig(n_traces=165, n_fixed_classes=2, seed=5,
+                                chunk_traces=52, streaming=True,
+                                tvla_order=tvla_order)
+            fast = assess_leakage(design, config)
+            slow = assess_leakage(design, config,
+                                  generator=_unpacked_generator(design,
+                                                                config))
             assert fast.gate_names == slow.gate_names
             np.testing.assert_array_equal(fast.t_values, slow.t_values)
             for order in fast.order_t_values:
@@ -139,34 +138,20 @@ class TestPackedTraceEquality:
 
     def test_sharded_packed_matches_serial_unpacked(self):
         netlist = load_benchmark("sin", scale=0.2, seed=11)
-        packed_config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                                   chunk_traces=32, streaming=True,
-                                   power_backend="packed")
-        unpacked_config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                                     chunk_traces=32, streaming=True,
-                                     power_backend="unpacked")
-        serial = assess_leakage(netlist, unpacked_config)
-        sharded = assess_leakage_sharded(netlist, packed_config, n_shards=4,
+        config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
+                            chunk_traces=32, streaming=True)
+        serial = assess_leakage(netlist, config,
+                                generator=_unpacked_generator(netlist,
+                                                              config))
+        sharded = assess_leakage_sharded(netlist, config, n_shards=4,
                                          executor="thread", max_workers=2)
         np.testing.assert_allclose(sharded.t_values, serial.t_values,
                                    rtol=1e-12, atol=1e-12)
 
-    def test_loop_sim_backend_degrades_to_unpacked(self, tiny_netlist):
-        generator = PowerTraceGenerator(tiny_netlist, sim_backend="loop",
-                                        power_backend="packed")
-        assert generator.resolved_power_backend == "unpacked"
-        fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 50, seed=1)
-        reference = PowerTraceGenerator(tiny_netlist,
-                                        power_backend="unpacked")
-        np.testing.assert_array_equal(
-            generator.generate(fixed, rng=np.random.default_rng(1)).per_gate,
-            reference.generate(fixed, rng=np.random.default_rng(1)).per_gate)
 
-    def test_invalid_power_backend_rejected(self, tiny_netlist):
-        with pytest.raises(ValueError, match="power_backend"):
-            PowerTraceGenerator(tiny_netlist, power_backend="simd")
-        with pytest.raises(ValueError, match="power_backend"):
-            TvlaConfig(power_backend="simd")
+def _unpacked_generator(netlist, config):
+    return UnpackedPowerTraceGenerator(netlist, config=config.power,
+                                       seed=config.seed)
 
 
 class TestFusedMoments:
@@ -275,24 +260,24 @@ class TestPackedSubstrate:
     def test_toggle_counts_packed_fast_path(self, rng):
         """popcount(prev ^ cur) on packed bytes == the bool-path counts."""
         netlist = load_benchmark("des3", scale=0.2, seed=11)
-        compiled = LogicSimulator(netlist, backend="compiled")
-        loop = LogicSimulator(netlist, backend="loop")
+        compiled = LogicSimulator(netlist)
+        loop = LoopSimulator(netlist)
         stimulus_a = {net: rng.integers(0, 2, 77).astype(bool)
                       for net in netlist.primary_inputs}
         stimulus_b = {net: rng.integers(0, 2, 77).astype(bool)
                       for net in netlist.primary_inputs}
         fast = toggle_counts(netlist, compiled.evaluate(stimulus_a),
                              compiled.evaluate(stimulus_b))
-        slow = toggle_counts(netlist, loop.evaluate(stimulus_a),
-                             loop.evaluate(stimulus_b))
+        slow = {name: int(toggles.sum()) for name, toggles in toggle_matrix(
+            netlist, loop.evaluate(stimulus_a),
+            loop.evaluate(stimulus_b)).items()}
         assert fast == slow
 
     def test_simulation_result_is_lazy_and_consistent(self, tiny_netlist):
-        simulator = LogicSimulator(tiny_netlist, backend="compiled")
+        simulator = LogicSimulator(tiny_netlist)
         stimulus = {net: np.array([True, False, True])
                     for net in tiny_netlist.primary_inputs}
         result = simulator.evaluate(stimulus)
-        assert result.packed_matrix is not None
         assert result.packed_matrix.shape[1] == 1  # ceil(3 / 8)
         # Unpacked views materialise on demand and agree with the packed
         # bits row for row.

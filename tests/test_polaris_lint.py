@@ -283,6 +283,16 @@ class TestPL001Rng:
 # ----------------------------------------------------------------------
 # PL002 — oracle pairing (cross-file)
 # ----------------------------------------------------------------------
+#: One test module referencing both sides of every registered pair.
+_ORACLE_REFERENCES = (
+    "# references: update_batch update_batch_naive\n"
+    "# generate UnpackedPowerTraceGenerator generate_loop\n"
+    "# CompiledNetlist LoopSimulator\n"
+    "# predict_batch predict_value expectation_batch expectation\n"
+    "# explain_matrix explain\n"
+    "# philox_raw philox_blocks_reference counter sequence\n")
+
+
 def _oracle_repo_files(tmp_path):
     """A miniature repo satisfying every registered oracle pair."""
     return {
@@ -293,14 +303,21 @@ def _oracle_repo_files(tmp_path):
             "    def update_batch_naive(self):\n"
             "        pass\n",
         "src/repro/power/traces.py":
-            "POWER_BACKENDS = ('packed', 'unpacked')\n"
-            "class TraceEngine:\n"
+            "class PowerTraceGenerator:\n"
             "    def generate(self):\n"
-            "        pass\n"
-            "    def generate_loop(self):\n"
             "        pass\n",
-        "src/repro/simulation/simulator.py":
-            "SIM_BACKENDS = ('compiled', 'loop')\n",
+        "src/repro/simulation/compiled.py":
+            "class CompiledNetlist:\n"
+            "    pass\n",
+        "tests/oracles/power.py":
+            "class UnpackedPowerTraceGenerator:\n"
+            "    pass\n"
+            "def generate_loop():\n"
+            "    pass\n",
+        "tests/oracles/simulation.py":
+            "# Oracle of CompiledNetlist (does not count as its test).\n"
+            "class LoopSimulator:\n"
+            "    pass\n",
         "src/repro/ml/tree.py":
             "class FittedTree:\n"
             "    def predict_batch(self):\n"
@@ -323,12 +340,7 @@ def _oracle_repo_files(tmp_path):
             "    pass\n"
             "def philox_blocks_reference():\n"
             "    pass\n",
-        "tests/test_oracles.py":
-            "# references: update_batch update_batch_naive packed unpacked\n"
-            "# compiled loop generate generate_loop\n"
-            "# predict_batch predict_value expectation_batch expectation\n"
-            "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n",
+        "tests/test_oracles.py": _ORACLE_REFERENCES,
     }
 
 
@@ -340,7 +352,7 @@ class TestPL002Oracle:
 
     def test_missing_module_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
-        del files["src/repro/simulation/simulator.py"]
+        del files["src/repro/simulation/compiled.py"]
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "missing or unparsable" in result.findings[0].message
@@ -356,37 +368,55 @@ class TestPL002Oracle:
         assert "'update_batch_naive' no longer exists" \
             in result.findings[0].message
 
-    def test_dropped_selector_string_is_flagged(self, tmp_path):
+    def test_dropped_test_oracle_is_flagged(self, tmp_path):
+        # An oracle moved to tests/oracles/ is still required to exist.
         files = _oracle_repo_files(tmp_path)
-        files["src/repro/simulation/simulator.py"] = (
-            "SIM_BACKENDS = ('compiled',)\n")
+        files["tests/oracles/simulation.py"] = "LOOP = None\n"
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
-        assert "selector string 'loop'" in result.findings[0].message
+        assert "'LoopSimulator' no longer exists" \
+            in result.findings[0].message
+        assert result.findings[0].path == "tests/oracles/simulation.py"
+
+    def test_dropped_selector_string_is_flagged(self, tmp_path):
+        files = _oracle_repo_files(tmp_path)
+        files["src/repro/power/ctrsample.py"] = (
+            "SAMPLERS = ('counter',)\n"
+            "def philox_raw():\n"
+            "    pass\n"
+            "def philox_blocks_reference():\n"
+            "    pass\n")
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        assert "selector string 'sequence'" in result.findings[0].message
 
     def test_untested_pair_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
-        files["tests/test_oracles.py"] = (
-            "# references: update_batch update_batch_naive packed unpacked\n"
-            "# compiled loop generate\n"  # generate_loop dropped
-            "# predict_batch predict_value expectation_batch expectation\n"
-            "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n")
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            " generate_loop", "")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "untested" in result.findings[0].message
 
+    def test_oracle_module_is_not_its_own_test(self, tmp_path):
+        # tests/oracles/simulation.py names both sides; only a test
+        # module outside the oracle package counts as comparing them.
+        files = _oracle_repo_files(tmp_path)
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            "# CompiledNetlist LoopSimulator\n", "")
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        assert "'CompiledNetlist' and 'LoopSimulator'" \
+            in result.findings[0].message
+
     def test_word_boundary_no_substring_credit(self, tmp_path):
         # 'generate_loop' alone must not satisfy the 'generate' side.
         files = _oracle_repo_files(tmp_path)
-        files["tests/test_oracles.py"] = (
-            "# references: update_batch update_batch_naive packed unpacked\n"
-            "# compiled loop generate_loop\n"
-            "# predict_batch predict_value expectation_batch expectation\n"
-            "# explain_matrix explain\n"
-            "# philox_raw philox_blocks_reference counter sequence\n")
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            "# generate UnpackedPowerTraceGenerator generate_loop\n",
+            "# generate_loop\n")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
-        assert codes(result) == ["PL002"]
+        assert codes(result) == ["PL002", "PL002"]
 
     def test_real_repo_satisfies_every_pair(self):
         result = lint_paths(REPO_ROOT, ["src"], rule_ids=["PL002"])

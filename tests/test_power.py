@@ -17,13 +17,15 @@ from repro.power import (
 )
 from repro.simulation import SimulationError, fixed_vs_random_campaigns
 
+from tests.oracles import add_noise, generate_loop, masked_power, unmasked_power
+
 
 class TestGatePowerModel:
     def test_unmasked_power_scales_with_toggles(self, tiny_netlist):
         model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
         gate = tiny_netlist.gate("g_and")
-        quiet = model.unmasked_power(gate, np.zeros(10, dtype=bool))
-        busy = model.unmasked_power(gate, np.ones(10, dtype=bool))
+        quiet = unmasked_power(model, gate, np.zeros(10, dtype=bool))
+        busy = unmasked_power(model, gate, np.ones(10, dtype=bool))
         assert (busy > quiet).all()
         assert quiet.min() > 0  # static floor
 
@@ -31,8 +33,8 @@ class TestGatePowerModel:
         model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
         gate = tiny_netlist.gate("g_and")
         toggles = np.ones(5, dtype=bool)
-        low = model.unmasked_power(gate, toggles, fanout=1)
-        high = model.unmasked_power(gate, toggles, fanout=4)
+        low = unmasked_power(model, gate, toggles, fanout=1)
+        high = unmasked_power(model, gate, toggles, fanout=4)
         assert (high > low).all()
 
     def test_masked_power_positive_and_noisy_free(self, rng):
@@ -44,7 +46,8 @@ class TestGatePowerModel:
         b_prev = rng.integers(0, 2, 200).astype(bool)
         a_cur = rng.integers(0, 2, 200).astype(bool)
         b_cur = rng.integers(0, 2, 200).astype(bool)
-        power = model.masked_power(masked_gate, (a_prev, b_prev), (a_cur, b_cur))
+        power = masked_power(model, masked_gate, (a_prev, b_prev),
+                             (a_cur, b_cur))
         assert power.shape == (200,)
         assert (power >= 0).all()
         assert power.std() > 0  # fresh masks randomise the consumption
@@ -64,8 +67,8 @@ class TestGatePowerModel:
                         {"masked_from": "AND", "protection_style": "trichina"})
         valiant = Gate("m", GateType.MASKED_AND, ["a", "b"], "y",
                        {"masked_from": "AND", "protection_style": "valiant"})
-        p_tri = model.masked_power(trichina, (a_prev, b_prev), (a_cur, b_cur))
-        p_val = model.masked_power(valiant, (a_prev, b_prev), (a_cur, b_cur))
+        p_tri = masked_power(model, trichina, (a_prev, b_prev), (a_cur, b_cur))
+        p_val = masked_power(model, valiant, (a_prev, b_prev), (a_cur, b_cur))
         corr_tri = np.corrcoef(p_tri, toggles)[0, 1]
         corr_val = np.corrcoef(p_val, toggles)[0, 1]
         assert corr_val > corr_tri  # VALIANT cells leak more of the input activity
@@ -77,10 +80,10 @@ class TestGatePowerModel:
     def test_noise_addition(self):
         model = GatePowerModel(config=PowerModelConfig(noise_sigma=0.5), seed=1)
         clean = np.full(1000, 3.0)
-        noisy = model.add_noise(clean)
+        noisy = add_noise(model, clean)
         assert noisy.std() > 0.1
         model_quiet = GatePowerModel(config=PowerModelConfig(noise_sigma=0.0))
-        np.testing.assert_array_equal(model_quiet.add_noise(clean), clean)
+        np.testing.assert_array_equal(add_noise(model_quiet, clean), clean)
 
 
 class TestPowerTraces:
@@ -120,7 +123,7 @@ class TestVectorisedEngine:
         fixed, rand = fixed_vs_random_campaigns(random_netlist, 400, seed=2)
         for campaign in (fixed, rand):
             vectorised = generator.generate(campaign)
-            loop = generator.generate_loop(campaign)
+            loop = generate_loop(generator, campaign)
             assert vectorised.gate_names == loop.gate_names
             np.testing.assert_allclose(
                 vectorised.per_gate.astype(float), loop.per_gate,
@@ -135,7 +138,7 @@ class TestVectorisedEngine:
         generator = PowerTraceGenerator(masked, config=config, seed=3)
         _, rand = fixed_vs_random_campaigns(masked, 5000, seed=3)
         vectorised = generator.generate(rand)
-        loop = generator.generate_loop(rand)
+        loop = generate_loop(generator, rand)
         for name in loop.gate_names:
             column_vec = vectorised.gate_column(name).astype(float)
             column_loop = loop.gate_column(name)
@@ -172,10 +175,9 @@ class TestVectorisedEngine:
 
     def test_loop_path_honours_explicit_fast_noise(self, tiny_netlist):
         config = PowerModelConfig(noise_mode="fast")
-        generator = PowerTraceGenerator(tiny_netlist, config=config, seed=6,
-                                        vectorised=False)
+        generator = PowerTraceGenerator(tiny_netlist, config=config, seed=6)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 4000, seed=6)
-        traces = generator.generate(fixed)
+        traces = generate_loop(generator, fixed)
         sigma = generator._model.noise_sigma_abs()
         # The popcount sampler yields a 17-point lattice per column (the
         # fixed campaign keeps the noiseless power constant), with the

@@ -148,30 +148,6 @@ class TestShardedRegression:
                                        reference.order_t_values[order],
                                        rtol=1e-12, atol=1e-12)
 
-    def test_loop_engine_generator_is_rebuilt_per_task(self, tiny_netlist):
-        # The reference per-gate loop engine mutates per-generator model
-        # state, so thread shards must not share it: each task rebuilds a
-        # private generator, and the result still matches the serial loop
-        # engine bit-for-bit RNG-wise (~1e-12 after merge).
-        from repro.power import PowerTraceGenerator
-        config = TvlaConfig(n_traces=300, n_fixed_classes=2, seed=4,
-                            chunk_traces=64, streaming=True)
-        loop_generator = PowerTraceGenerator(tiny_netlist,
-                                             config=config.power,
-                                             seed=config.seed,
-                                             vectorised=False)
-        reference = assess_leakage(tiny_netlist, config,
-                                   generator=loop_generator)
-        sharded = assess_leakage_sharded(tiny_netlist, config, n_shards=3,
-                                         executor="thread",
-                                         generator=PowerTraceGenerator(
-                                             tiny_netlist,
-                                             config=config.power,
-                                             seed=config.seed,
-                                             vectorised=False))
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
-
     def test_numpy_integer_order_accepted(self, tiny_netlist):
         config = TvlaConfig(n_traces=100, n_fixed_classes=1, seed=1,
                             tvla_order=int(np.int64(2)))

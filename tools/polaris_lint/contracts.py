@@ -9,7 +9,7 @@ pickle-seam class or RNG seam lands, extend the matching registry here (and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Paths (relative, posix) under which PL001's strict RNG discipline
 #: applies: every generator must be injected or derived from a seeded
@@ -38,19 +38,28 @@ RNG_SEAM_FUNCTIONS: Tuple[str, ...] = (
 )
 
 
+#: Test-only package holding the oracles of production fast paths.  Its
+#: modules define oracles; they do not count as tests that compare one.
+ORACLE_PACKAGE = "tests/oracles/"
+
+
 @dataclass(frozen=True)
 class OraclePair:
     """A fast path and the bit-identical oracle it must stay pinned to.
 
     Attributes:
         pair_id: Short identifier used in findings.
-        module: Repo-relative path of the module defining both sides.
+        module: Repo-relative path of the module defining the fast path
+            (and the oracle too, unless ``oracle_module`` is set).
         fast: Fast-path symbol (``kind="symbol"``) or selector string
             (``kind="string"``).
         oracle: The reference implementation's symbol or selector string.
-        kind: ``"symbol"`` — both names must be defined functions/methods
-            in ``module``; ``"string"`` — both must appear as string
-            constants in ``module`` (backend selector tuples).
+        kind: ``"symbol"`` — both names must be defined functions, methods
+            or classes; ``"string"`` — both must appear as string constants
+            in ``module`` (selector tuples).
+        oracle_module: Repo-relative path of the module defining the
+            oracle when it is not ``module`` — an oracle moved into the
+            test-only :data:`ORACLE_PACKAGE`.
     """
 
     pair_id: str
@@ -58,24 +67,33 @@ class OraclePair:
     fast: str
     oracle: str
     kind: str = "symbol"
+    oracle_module: Optional[str] = None
+
+    @property
+    def oracle_path(self) -> str:
+        """Module defining the oracle side."""
+        return self.oracle_module or self.module
 
 
-#: Every fast path introduced by PRs 1-5 and the oracle that pins it.
-#: PL002 verifies both sides still exist and that at least one test module
-#: references the pair together.
+#: Every fast path and the oracle that pins it.  PL002 verifies both sides
+#: still exist and that at least one test module (outside
+#: :data:`ORACLE_PACKAGE`) references the pair together.
 ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # PR 5: fused Horner moment update vs the naive power-chain reference.
     OraclePair("moments-update", "src/repro/tvla/moments.py",
                "update_batch", "update_batch_naive"),
     # PR 5: packed toggle extraction vs the bool-matrix oracle.
     OraclePair("power-backend", "src/repro/power/traces.py",
-               "packed", "unpacked", kind="string"),
+               "generate", "UnpackedPowerTraceGenerator",
+               oracle_module="tests/oracles/power.py"),
     # PR 3: fused levelised simulation kernel vs the per-gate loop.
-    OraclePair("sim-backend", "src/repro/simulation/simulator.py",
-               "compiled", "loop", kind="string"),
-    # PR 1: vectorised trace engine vs the per-gate reference loop.
+    OraclePair("sim-backend", "src/repro/simulation/compiled.py",
+               "CompiledNetlist", "LoopSimulator",
+               oracle_module="tests/oracles/simulation.py"),
+    # Table-gather trace engine vs the per-gate reference loop.
     OraclePair("trace-engine", "src/repro/power/traces.py",
-               "generate", "generate_loop"),
+               "generate", "generate_loop",
+               oracle_module="tests/oracles/power.py"),
     # PR 7: flat-array batch tree descent vs the per-sample node walk.
     OraclePair("tree-predict", "src/repro/ml/tree.py",
                "predict_batch", "predict_value"),

@@ -1,14 +1,16 @@
 """PL002 — oracle pairing.
 
 Every fast path in this repo is pinned to a bit-identical slow oracle
-(``update_batch``/``update_batch_naive``, ``power_backend="packed"`` /
-``"unpacked"``, ``backend="compiled"``/``"loop"``, ...).  The registry in
-:mod:`polaris_lint.contracts` names those pairs; this rule verifies that
+(``update_batch``/``update_batch_naive``, ``CompiledNetlist``/
+``LoopSimulator``, ``generate``/``generate_loop``, ...).  Oracles either sit
+next to their fast path or live in the test-only ``tests/oracles/``
+package.  The registry in :mod:`polaris_lint.contracts` names those pairs;
+this rule verifies that
 
-1. both sides of each pair still exist in the module that owns them (a
+1. both sides of each pair still exist in the modules that own them (a
    refactor must not silently drop an oracle), and
-2. at least one module under ``tests/`` references the pair together (an
-   oracle nobody compares against pins nothing).
+2. at least one test module outside ``tests/oracles/`` references the pair
+   together (an oracle nobody compares against pins nothing).
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ import ast
 import re
 from typing import Optional
 
-from ..contracts import ORACLE_PAIRS, OraclePair
+from ..contracts import ORACLE_PACKAGE, ORACLE_PAIRS, OraclePair
 from ..core import Finding, ProjectRule, Severity, SourceFile, register
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _symbol_line(file: SourceFile, name: str) -> Optional[int]:
-    """Line of a function/method definition called ``name``, or None."""
+    """Line of a function/method/class definition called ``name``, or None."""
     assert file.tree is not None
     for node in ast.walk(file.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name == name:
+        if isinstance(node, _DEFINITIONS) and node.name == name:
             return node.lineno
     return None
 
@@ -55,44 +58,52 @@ class OraclePairingRule(ProjectRule):
     severity = Severity.ERROR
     title = "oracle pairing: every fast path keeps a tested oracle"
 
+    def _finding(self, path: str, line: int, message: str) -> None:
+        self.findings.append(Finding(
+            rule=self.rule_id, severity=self.severity, path=path, line=line,
+            col=0, message=message))
+
+    def _locate(self, project, pair: OraclePair, path: str, name: str,
+                side: str) -> Optional[int]:
+        """Line of one side of ``pair`` in ``path``, or None (recording a
+        finding) when the definition is gone."""
+        locate = _symbol_line if pair.kind == "symbol" else _string_line
+        line = locate(project.file(path), name)
+        if line is None:
+            what = ("function/method/class" if pair.kind == "symbol"
+                    else "selector string")
+            suffix = ("" if side == "fast-path" else
+                      " — fast paths must keep their bit-identical reference")
+            self._finding(path, 1, f"oracle pair '{pair.pair_id}': {side} "
+                                   f"{what} {name!r} no longer exists"
+                                   f"{suffix}")
+        return line
+
     def run_project(self, project) -> list:
         self.findings = []
         for pair in ORACLE_PAIRS:
-            module = project.file(pair.module)
-            if module is None or module.tree is None:
-                self.findings.append(Finding(
-                    rule=self.rule_id, severity=self.severity,
-                    path=pair.module, line=1, col=0,
-                    message=f"oracle pair '{pair.pair_id}': module "
-                            f"{pair.module} is missing or unparsable"))
+            missing = [path for path in dict.fromkeys((pair.module,
+                                                       pair.oracle_path))
+                       if project.file(path) is None
+                       or project.file(path).tree is None]
+            for path in missing:
+                self._finding(path, 1, f"oracle pair '{pair.pair_id}': "
+                                       f"module {path} is missing or "
+                                       f"unparsable")
+            if missing:
                 continue
-            locate = _symbol_line if pair.kind == "symbol" else _string_line
-            fast_line = locate(module, pair.fast)
-            oracle_line = locate(module, pair.oracle)
-            what = ("function/method" if pair.kind == "symbol"
-                    else "selector string")
-            if fast_line is None:
-                self.findings.append(Finding(
-                    rule=self.rule_id, severity=self.severity,
-                    path=pair.module, line=1, col=0,
-                    message=f"oracle pair '{pair.pair_id}': fast-path "
-                            f"{what} {pair.fast!r} no longer exists"))
-            if oracle_line is None:
-                self.findings.append(Finding(
-                    rule=self.rule_id, severity=self.severity,
-                    path=pair.module, line=fast_line or 1, col=0,
-                    message=f"oracle pair '{pair.pair_id}': oracle {what} "
-                            f"{pair.oracle!r} no longer exists — fast paths "
-                            f"must keep their bit-identical reference"))
+            fast_line = self._locate(project, pair, pair.module, pair.fast,
+                                     "fast-path")
+            oracle_line = self._locate(project, pair, pair.oracle_path,
+                                       pair.oracle, "oracle")
             if fast_line is None or oracle_line is None:
                 continue
             if not any(_references_pair(text, pair)
-                       for text in project.test_texts().values()):
-                self.findings.append(Finding(
-                    rule=self.rule_id, severity=self.severity,
-                    path=pair.module, line=fast_line, col=0,
-                    message=f"oracle pair '{pair.pair_id}': no module under "
-                            f"tests/ references {pair.fast!r} and "
-                            f"{pair.oracle!r} together — the oracle is "
-                            f"untested"))
+                       for rel, text in project.test_texts().items()
+                       if not rel.startswith(ORACLE_PACKAGE)):
+                self._finding(pair.module, fast_line,
+                              f"oracle pair '{pair.pair_id}': no module under "
+                              f"tests/ references {pair.fast!r} and "
+                              f"{pair.oracle!r} together — the oracle is "
+                              f"untested")
         return self.findings
