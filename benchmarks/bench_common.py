@@ -49,9 +49,9 @@ BENCH_DESIGNS = tuple(
 def bench_tvla_config(seed: int = 17) -> TvlaConfig:
     """TVLA configuration shared by all benches.
 
-    Campaigns larger than ``BENCH_CHUNK`` traces (e.g. paper-scale runs
-    with ``POLARIS_BENCH_TRACES=10000``) automatically use the streaming
-    one-pass accumulator driver.
+    Every campaign streams its ``BENCH_CHUNK``-trace chunks into one-pass
+    accumulators, at any ``POLARIS_BENCH_TRACES`` (including paper-scale
+    runs with ``POLARIS_BENCH_TRACES=10000``).
     """
     return TvlaConfig(n_traces=BENCH_TRACES, n_fixed_classes=4, seed=seed,
                       chunk_traces=BENCH_CHUNK)

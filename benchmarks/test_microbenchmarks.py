@@ -47,7 +47,6 @@ from repro.tvla import (
     TvlaConfig,
     assess_leakage,
     assess_leakage_sharded,
-    chunk_seed_streams,
     welch_t_test,
 )
 from repro.tvla.welch import welch_from_accumulators
@@ -55,7 +54,7 @@ from repro.tvla.welch import welch_from_accumulators
 from bench_common import BENCH_SCALE, best_of, interleaved_cpu_seconds
 
 from tests.oracles import LoopSimulator, UnpackedPowerTraceGenerator, \
-    generate_loop
+    chunk_seed_streams, generate_loop
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -159,13 +158,15 @@ def _tvla_end_to_end(design, generator_cls, fused_moments,
                      sampler="sequence"):
     """One full trace-generation + streaming-TVLA pass (order 1, 1 class).
 
-    Mirrors the chunked driver (per-chunk spawned RNG streams, one-pass
+    Mirrors the chunked driver (per-chunk coordinate-keyed draws, one-pass
     accumulators, Welch from merged moments) but lets the caller pick the
     toggle extraction (``PowerTraceGenerator`` or the bool-matrix oracle
     ``UnpackedPowerTraceGenerator``), the moment-update implementation and
     the sampling discipline, so the bench can time the packed fast path
     against the pre-fusion oracle (and the counter sampler against the
-    SeedSequence streams) on identical work.
+    retired SeedSequence streams of ``tests/oracles``) on identical work.
+    The sequence discipline feeds each chunk a fresh
+    ``default_rng(chunk_seed_streams(...)[k])``.
     """
     generator = generator_cls(design, seed=seed)
     campaigns = fixed_vs_random_campaigns(design, n_traces, seed=seed)
@@ -176,11 +177,13 @@ def _tvla_end_to_end(design, generator_cls, fused_moments,
         fold = acc.update_batch if fused_moments else acc.update_batch_naive
         if sampler == "counter":
             blocks = generator.generate_stream(
-                campaign, chunk,
-                counter_stream=CounterStream(seed, 0, group_index))
+                campaign, chunk, CounterStream(seed, 0, group_index))
         else:
             seeds = chunk_seed_streams(seed, 0, group_index, n_chunks)
-            blocks = generator.generate_stream(campaign, chunk, seeds=seeds)
+            blocks = (generator.generate(
+                campaign.slice(start, min(n_traces, start + chunk)),
+                rng=np.random.default_rng(stream))
+                for start, stream in zip(range(0, n_traces, chunk), seeds))
         for traces in blocks:
             fold(traces.per_gate)
         accumulators.append(acc)
@@ -216,9 +219,9 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
     win (same fused moments on both sides, not asserted — on masked
     designs the shared mask/noise sampling dominates that slice).
 
-    The ``sampler_*`` rows time the counter-based Philox sampler
-    (``TvlaConfig(sampler="counter")``, the default since PR 8) against
-    the frozen SeedSequence streams on the masked design, where
+    The ``sampler_*`` rows time the counter-based Philox sampler (the
+    production path) against the retired SeedSequence streams
+    (``tests/oracles`` ``chunk_seed_streams``) on the masked design, where
     mask/noise sampling is a meaningful share of each chunk:
     ``sampler_chunk`` is the full end-to-end ratio, ``sampler_share``
     subtracts the simulator sweeps both disciplines share verbatim.  The
@@ -325,7 +328,7 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
         f"{speedups}")
     # The counter sampler's measured margin over the sequence streams is
     # thin (~1.03-1.04x on the masked bench design) — the headline win of
-    # sampler="counter" is the bitwise layout invariance, not wall clock.
+    # the counter sampler is the bitwise layout invariance, not wall clock.
     # The in-test floor only catches the sampler becoming materially
     # *slower*; the speedup trajectory itself is gated against baseline.
     assert min(sampler_speedups.values()) >= 0.8, (
@@ -453,7 +456,6 @@ def test_streaming_assessment_paper_scale(masked_design, recorder):
     start = time.perf_counter()
     assessment = assess_leakage(masked_design, config)
     elapsed = time.perf_counter() - start
-    assert assessment.streamed
     assert len(assessment.gate_names) == len(masked_design)
     recorder.record(ExperimentRecord(
         experiment_id="microbench_streaming_tvla",
@@ -487,7 +489,7 @@ def test_sharded_tvla_scaling(masked_design, recorder):
     Python sweep holds the GIL).
     """
     config = TvlaConfig(n_traces=PAPER_TRACES, n_fixed_classes=1, seed=2,
-                        chunk_traces=1024, streaming=True)
+                        chunk_traces=1024)
 
     def generator(sim_backend):
         """The loop-oracle generator, or None to let the driver build the
@@ -569,7 +571,7 @@ def test_campaign_overhead_microbench(design, recorder, tmp_path):
         submit_campaign
 
     config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=11,
-                        chunk_traces=150, streaming=True)
+                        chunk_traces=150)
     n_shards = 2
 
     start = time.perf_counter()
@@ -653,14 +655,13 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
     from repro.tvla.sharding import merge_shard_partials
 
     config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=11,
-                        chunk_traces=150, streaming=True)
+                        chunk_traces=150)
     n_shards = 2
     root = tmp_path / "campaigns"
     reference = run_campaign(root, design, config, n_shards=n_shards,
                              n_workers=n_shards)
     from repro.campaign.spec import CampaignSpec
-    spec = CampaignSpec.from_netlist(design, config, n_shards=n_shards,
-                                     force_streaming=True)
+    spec = CampaignSpec.from_netlist(design, config, n_shards=n_shards)
     paths = CampaignPaths(root, spec.content_hash)
     payloads = [paths.shard_path(k).read_bytes() for k in range(n_shards)]
 
@@ -679,7 +680,7 @@ def test_service_streaming_microbench(design, recorder, tmp_path):
         class_results = merge_shard_partials(partials, config)
         return aggregate_class_results(class_results, design.name,
                                        reference.gate_names, config, 0.0,
-                                       streamed=True, n_shards=n_shards)
+                                       n_shards=n_shards)
 
     fold_seconds = timeit.timeit(fold, number=fold_loops)
     # The fold must reproduce the batch merge bitwise — the property the

@@ -43,8 +43,7 @@ from typing import List, Optional
 
 from ..netlist.benchmarks import load_benchmark
 from ..netlist.parser import parse_bench_file
-from ..power.ctrsample import SAMPLERS
-from ..tvla.assessment import SUPPORTED_TVLA_ORDERS, TvlaConfig
+from ..tvla.assessment import SUPPORTED_TVLA_ORDERS, TVLA_MODES, TvlaConfig
 from .queue import run_worker
 from .runner import (
     CampaignError,
@@ -90,14 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=SUPPORTED_TVLA_ORDERS,
                         help="highest TVLA order to evaluate")
     submit.add_argument("--mode", default="fixed_vs_random",
-                        choices=("fixed_vs_random", "fixed_vs_fixed"))
-    submit.add_argument("--sampler", default="counter",
-                        choices=SAMPLERS,
-                        help="mask/noise sampling discipline (counter = "
-                             "Philox coordinate draws, bitwise layout-"
-                             "invariant; sequence = legacy SeedSequence "
-                             "streams; different samplers draw different "
-                             "traces and hash differently)")
+                        choices=TVLA_MODES)
     submit.add_argument("--tenant", default=None,
                         help="tenant id: campaign lives under "
                              "<root>/tenants/<tenant> with namespaced "
@@ -239,11 +231,14 @@ def _submit(args: argparse.Namespace) -> int:
                                  seed=args.design_seed)
     else:
         netlist = parse_bench_file(args.bench_file)
-    config = TvlaConfig(n_traces=args.traces, mode=args.mode,
-                        n_fixed_classes=args.classes, seed=args.seed,
-                        chunk_traces=args.chunk_traces,
-                        tvla_order=args.order,
-                        sampler=args.sampler)
+    try:
+        config = TvlaConfig(n_traces=args.traces, mode=args.mode,
+                            n_fixed_classes=args.classes, seed=args.seed,
+                            chunk_traces=args.chunk_traces,
+                            tvla_order=args.order)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.follow:
         return _submit_follow(args, netlist, config)
     root, queue, prefix = _tenant_scope(args.root, args.tenant)
@@ -267,8 +262,7 @@ def _submit_follow(args: argparse.Namespace, netlist, config) -> int:
 
     host, port = _parse_endpoint(args.connect)
     tenant = args.tenant or DEFAULT_TENANT
-    spec = CampaignSpec.from_netlist(netlist, config, n_shards=args.shards,
-                                     force_streaming=True)
+    spec = CampaignSpec.from_netlist(netlist, config, n_shards=args.shards)
     with ServiceClient(host, port) as client:
         accepted = client.submit(tenant, spec.to_json(), follow=True)
         print(f"{accepted.status} {accepted.spec_hash} (tenant {tenant})",

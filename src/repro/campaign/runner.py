@@ -20,9 +20,9 @@ resumes by enqueueing only the shards whose partial is missing (idempotent
 ``{hash}:shard:{k}`` queue keys make double submission a no-op), and a
 worker killed mid-shard simply loses its lease — the shard is redelivered
 once the lease expires.  Because every chunk's randomness is keyed to its
-global coordinates, the merged result matches the serial assessment to
-floating-point merge error no matter how often work was re-attempted or
-where it ran.
+global coordinates and per-chunk partials merge in global chunk order,
+the merged result is bitwise equal to the serial assessment no matter how
+often work was re-attempted or where it ran.
 """
 
 from __future__ import annotations
@@ -196,9 +196,7 @@ def submit_campaign(root: Union[str, Path],
     """Register a campaign under ``root`` and enqueue its missing shards.
 
     Pass either a pre-built ``spec`` or a ``netlist`` (+ optional
-    ``config``/``n_shards``) to build one; the runner always resolves
-    ``streaming=True`` — shard partials are streamed accumulators, the
-    checkpoint unit.  Safe to call any number of times: completed shards
+    ``config``/``n_shards``) to build one.  Safe to call any number of times: completed shards
     are skipped, queued shards are not duplicated, and a campaign whose
     result is already in the store is reported ``"cached"`` without
     touching the queue.
@@ -212,8 +210,7 @@ def submit_campaign(root: Union[str, Path],
     if spec is None:
         if netlist is None:
             raise ValueError("submit_campaign needs a netlist or a spec")
-        spec = CampaignSpec.from_netlist(netlist, config, n_shards=n_shards,
-                                         force_streaming=True)
+        spec = CampaignSpec.from_netlist(netlist, config, n_shards=n_shards)
     spec_hash = spec.content_hash
     paths = CampaignPaths(root, spec_hash, key_prefix=shard_key_prefix)
     ranges = spec.shard_ranges()
@@ -302,8 +299,8 @@ def run_shard_task(root: str, spec_hash: str,
                    shard_index: int) -> Dict[str, object]:
     """Compute one shard's partial accumulators and checkpoint them.
 
-    Rebuilds everything from ``spec.json`` (netlist, schedule, chunk RNG
-    streams are all pure functions of the spec), folds the shard's trace
+    Rebuilds everything from ``spec.json`` (netlist, schedule and chunk
+    draws are all pure functions of the spec), folds the shard's trace
     range, and durably publishes the sha256-sealed packed partial.
     Idempotent: if a *verified* checkpoint already exists — e.g. this is a
     duplicate delivery whose first execution acked late — the recompute is
@@ -448,7 +445,6 @@ def _merge_shard_results(shard_results: List[tuple], spec: CampaignSpec,
     return aggregate_class_results(class_results, spec.design_name,
                                    generator.gate_names, config,
                                    time.perf_counter() - started_at,
-                                   streamed=True,
                                    n_shards=len(spec.shard_ranges()))
 
 

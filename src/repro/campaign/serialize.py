@@ -3,12 +3,10 @@
 Two wire formats live here:
 
 * **Shard partials** — a shard's :data:`~repro.tvla.sharding.ShardPartials`
-  packed as length-prefixed :meth:`OnePassMoments.to_bytes` blobs.  Two
-  sub-formats share the dispatch: ``SHM1`` for sequence-sampler shards
-  (per class, one merged ``(group0, group1)`` accumulator pair) and
-  ``SHM2`` for counter-sampler shards (per class and group, a **list** of
-  per-chunk accumulators, kept unmerged so the campaign merge can
-  left-fold them in global chunk order).  This is the unit the checkpoint
+  (per class and group, a **list** of per-chunk accumulators, kept
+  unmerged so the campaign merge can left-fold them in global chunk order)
+  packed as ``SHM2``: length-prefixed :meth:`OnePassMoments.to_bytes`
+  blobs under per-group chunk counts.  This is the unit the checkpoint
   layer persists and the queue ships between workers; the round-trip is
   bit-identical, so resumed/distributed merges equal in-process ones.
 * **Assessments** — a full :class:`~repro.tvla.assessment.LeakageAssessment`
@@ -27,14 +25,10 @@ import numpy as np
 
 from ..tvla.assessment import LeakageAssessment
 from ..tvla.moments import OnePassMoments
-from ..tvla.sharding import ShardChunkMoments, ShardMoments, ShardPartials
+from ..tvla.sharding import ShardPartials
 
-#: Magic + version prefix of the packed shard-partial format (one merged
-#: accumulator pair per class — sequence-sampler shards).
-_SHARD_MAGIC = b"SHM1"
-#: Magic of the per-chunk variant (counter-sampler shards: unmerged
-#: per-chunk accumulator lists per class and group).
-_SHARD_CHUNK_MAGIC = b"SHM2"
+#: Magic + version prefix of the packed shard-partial format.
+_SHARD_MAGIC = b"SHM2"
 
 
 # ----------------------------------------------------------------------
@@ -57,67 +51,40 @@ def _read_accumulator(payload: bytes,
 
 
 def pack_shard_moments(partials: ShardPartials) -> bytes:
-    """Pack one shard's per-class accumulators into a byte string.
-
-    The wire format follows the partial form: merged pairs
-    (:data:`ShardMoments`) pack as ``SHM1`` exactly as before this format
-    existed; per-chunk lists (:data:`ShardChunkMoments`) pack as ``SHM2``
-    with an extra chunk-count prefix per group.
-    """
-    if partials and isinstance(partials[0][0], list):
-        chunks = [_SHARD_CHUNK_MAGIC, struct.pack("<I", len(partials))]
-        for pair in partials:
-            for group in pair:
-                chunks.append(struct.pack("<I", len(group)))
-                for accumulator in group:
-                    blob = accumulator.to_bytes()
-                    chunks.append(struct.pack("<I", len(blob)))
-                    chunks.append(blob)
-        return b"".join(chunks)
+    """Pack one shard's per-class, per-chunk accumulators into bytes."""
     chunks = [_SHARD_MAGIC, struct.pack("<I", len(partials))]
     for pair in partials:
-        for accumulator in pair:
-            blob = accumulator.to_bytes()
-            chunks.append(struct.pack("<I", len(blob)))
-            chunks.append(blob)
+        for group in pair:
+            chunks.append(struct.pack("<I", len(group)))
+            for accumulator in group:
+                blob = accumulator.to_bytes()
+                chunks.append(struct.pack("<I", len(blob)))
+                chunks.append(blob)
     return b"".join(chunks)
 
 
 def unpack_shard_moments(payload: bytes) -> ShardPartials:
     """Rebuild the partials packed by :func:`pack_shard_moments`.
 
-    Dispatches on the magic, so checkpoints written by either sampler
-    discipline (or by pre-``SHM2`` builds) all load.
-
     Raises:
-        ValueError: for truncated or foreign payloads.
+        ValueError: for truncated or foreign payloads, including the
+            retired one-pair-per-class format of the SeedSequence sampler.
     """
-    if payload.startswith(_SHARD_CHUNK_MAGIC):
-        offset = len(_SHARD_CHUNK_MAGIC)
-        n_classes, offset = _read_u32(payload, offset)
-        per_chunk: ShardChunkMoments = []
-        for _ in range(n_classes):
-            groups: List[List[OnePassMoments]] = []
-            for _ in range(2):
-                n_chunks, offset = _read_u32(payload, offset)
-                group: List[OnePassMoments] = []
-                for _ in range(n_chunks):
-                    accumulator, offset = _read_accumulator(payload, offset)
-                    group.append(accumulator)
-                groups.append(group)
-            per_chunk.append((groups[0], groups[1]))
-        return per_chunk
     if not payload.startswith(_SHARD_MAGIC):
         raise ValueError("not a packed shard-moments payload")
     offset = len(_SHARD_MAGIC)
     n_classes, offset = _read_u32(payload, offset)
-    partials: ShardMoments = []
+    partials: ShardPartials = []
     for _ in range(n_classes):
-        pair = []
+        groups: List[List[OnePassMoments]] = []
         for _ in range(2):
-            accumulator, offset = _read_accumulator(payload, offset)
-            pair.append(accumulator)
-        partials.append((pair[0], pair[1]))
+            n_chunks, offset = _read_u32(payload, offset)
+            group: List[OnePassMoments] = []
+            for _ in range(n_chunks):
+                accumulator, offset = _read_accumulator(payload, offset)
+                group.append(accumulator)
+            groups.append(group)
+        partials.append((groups[0], groups[1]))
     return partials
 
 
@@ -166,7 +133,6 @@ def assessment_to_dict(assessment: LeakageAssessment) -> Dict[str, object]:
         "n_traces": assessment.n_traces,
         "elapsed_seconds": assessment.elapsed_seconds,
         "mean_abs_t": _encode_optional(assessment.mean_abs_t),
-        "streamed": assessment.streamed,
         "tvla_order": assessment.tvla_order,
         "order_t_values": {str(order): encode_array(values)
                            for order, values in
@@ -178,7 +144,11 @@ def assessment_to_dict(assessment: LeakageAssessment) -> Dict[str, object]:
 
 def assessment_from_dict(data: Dict[str, object]) -> LeakageAssessment:
     """Rebuild the :class:`LeakageAssessment` serialised by
-    :func:`assessment_to_dict`; every array round-trips bit-identically."""
+    :func:`assessment_to_dict`; every array round-trips bit-identically.
+
+    A ``streamed`` key, stored by builds in which assessments could skip
+    the streaming path, is ignored: every assessment streams now.
+    """
     return LeakageAssessment(
         design_name=data["design_name"],
         gate_names=tuple(data["gate_names"]),
@@ -188,7 +158,6 @@ def assessment_from_dict(data: Dict[str, object]) -> LeakageAssessment:
         n_traces=data["n_traces"],
         elapsed_seconds=data["elapsed_seconds"],
         mean_abs_t=_decode_optional(data.get("mean_abs_t")),
-        streamed=data["streamed"],
         tvla_order=data["tvla_order"],
         order_t_values={int(order): decode_array(values)
                         for order, values in data["order_t_values"].items()},

@@ -7,27 +7,26 @@ one TVLA campaign: the netlist (as BENCH text), the full
 payload, which gives the campaign subsystem its two core properties:
 
 * **Work units are pure functions of the spec.**  A worker anywhere can
-  rebuild the netlist, the stimulus schedule and every chunk's RNG stream
-  from the spec alone (the per-chunk ``SeedSequence`` scheme keys
-  randomness to global chunk coordinates), so shard partials computed on
-  different machines merge losslessly.
+  rebuild the netlist, the stimulus schedule and every chunk's draws from
+  the spec alone (the counter sampler keys randomness to global chunk
+  coordinates), so shard partials computed on different machines merge
+  losslessly.
 * **Results are content-addressed.**  Two submissions with the same hash
   are by construction the same campaign; the second is served from
   :class:`repro.campaign.store.ResultStore` bit-identically, without
   re-simulating.
 
-The hash covers the *effective* configuration: ``streaming`` is resolved
-to a concrete boolean (sharded and queue-backed drivers always stream
-their accumulators, and a serial two-pass run differs from a streamed one
-at the ~1e-12 level), so a cache hit always reproduces the exact driver
-arithmetic of the run that produced it.
+Every driver — serial, sharded and queue-backed — streams its chunks into
+the same moment accumulators and folds them in global chunk order, so the
+hash needs no driver field: a cache hit reproduces the exact arithmetic of
+any run with the same spec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from ..netlist.netlist import Netlist
@@ -40,17 +39,20 @@ from ..tvla.sharding import shard_trace_ranges
 #: Bumped whenever the hashed payload layout (or the semantics of any
 #: hashed field) changes, so stale stores can never serve foreign results.
 #: Format 2 added the power-extraction backend selector to the hashed
-#: config; format 3 added ``TvlaConfig.sampler`` (the counter/sequence
-#: sampling discipline — campaigns with different samplers draw different
-#: traces, so the sampler must separate content hashes); format 4 dropped
-#: the simulation and power-extraction backend selectors, whose values
-#: always produced bit-identical traces.
-SPEC_FORMAT = 4
+#: config; format 3 added the sampler selector; format 4 dropped the
+#: simulation and power-extraction backend selectors, whose values always
+#: produced bit-identical traces; format 5 dropped the sampler and
+#: streaming selectors (every campaign streams and counter-samples).
+SPEC_FORMAT = 5
 
-#: Older spec formats :meth:`CampaignSpec.from_json` still loads.  A
-#: format-2 file predates the ``sampler`` knob and therefore describes a
-#: ``sampler="sequence"`` campaign (the only discipline that existed).
-_COMPAT_FORMATS = (2, 3)
+#: Older spec formats :meth:`CampaignSpec.from_json` still loads, as long
+#: as they describe a counter-sampler campaign.  A format-2 file predates
+#: the sampler selector and therefore describes a SeedSequence campaign,
+#: which this build can no longer compute.
+_COMPAT_FORMATS = (3, 4)
+
+#: The one sampler legacy spec files may name.
+_SAMPLER = "counter"
 
 def _payload_json(spec_format: object, design_name: str, bench_text: str,
                   tvla: Dict[str, object], n_shards: int) -> str:
@@ -95,8 +97,7 @@ class CampaignSpec:
             :func:`repro.netlist.writer.write_bench`; workers parse it back
             rather than unpickling live objects, so specs are portable
             across processes, machines and library versions.
-        tvla: The effective campaign configuration (``streaming`` already
-            resolved to a concrete boolean, see :meth:`from_netlist`).
+        tvla: The campaign configuration.
         n_shards: Requested shard count; the actual shard layout is the
             chunk-aligned :meth:`shard_ranges` (which caps at the chunk
             count, exactly like the in-process sharded driver).
@@ -120,13 +121,8 @@ class CampaignSpec:
                 *effective* count (capped at the chunk count, like the
                 in-process sharded driver), so requesting 8 shards of a
                 5-chunk campaign hashes identically to requesting 5.
-            force_streaming: Resolve ``streaming`` to True regardless of
-                the config's own auto-selection.  Every sharded driver and
-                the queue-backed runner stream their accumulators (partials
-                are the checkpoint unit), so they force this; the serial
-                driver passes the resolved value, keeping two-pass and
-                streamed runs on different hashes — a cache hit always
-                reproduces the exact arithmetic of the run that stored it.
+            force_streaming: Accepted for compatibility and ignored:
+                every campaign streams, so there is nothing to force.
 
         Raises:
             ValueError: for non-positive ``n_shards``.
@@ -136,11 +132,9 @@ class CampaignSpec:
         config = config if config is not None else TvlaConfig()
         n_shards = len(shard_trace_ranges(config.n_traces, n_shards,
                                           config.chunk_traces))
-        streamed = (True if force_streaming or n_shards > 1
-                    else config.resolved_streaming())
         return cls(design_name=netlist.name,
                    bench_text=write_bench(netlist),
-                   tvla=replace(config, streaming=streamed),
+                   tvla=config,
                    n_shards=n_shards)
 
     # ------------------------------------------------------------------
@@ -184,22 +178,30 @@ class CampaignSpec:
     def from_json(cls, text: str) -> "CampaignSpec":
         """Rebuild a spec written by :meth:`to_json`.
 
-        Specs of the formats in :data:`_COMPAT_FORMATS` load too: their
-        backend-selector fields are dropped (every value they took produced
-        bit-identical traces), and a format-2 file (pre-``sampler``)
-        describes a ``sampler="sequence"`` campaign.  The stored hash is
-        verified against the payload stored in the file, whatever its
-        format; a loaded legacy spec then hashes under the current format,
-        so a legacy campaign directory (named by its old hash) fails
+        Specs of the formats in :data:`_COMPAT_FORMATS` load too, when they
+        name the counter sampler: their selector fields (backends, sampler,
+        streaming) are dropped, since the values they may take all describe
+        the one path this build computes.  The stored hash is verified
+        against the payload stored in the file, whatever its format; a
+        loaded legacy spec then hashes under the current format, so a
+        legacy campaign directory (named by its old hash) fails
         :func:`repro.campaign.runner.load_spec` instead of being reused.
 
         Raises:
-            ValueError: for unknown format versions or a stored
-                ``content_hash`` that no longer matches (corrupt or
-                hand-edited spec files must never be silently trusted).
+            ValueError: for unknown format versions, a format-2 file or any
+                spec naming a sampler other than the counter sampler (the
+                SeedSequence sampler is retired, so such campaigns cannot
+                be recomputed), or a stored ``content_hash`` that no longer
+                matches (corrupt or hand-edited spec files must never be
+                silently trusted).
         """
         data = json.loads(text)
         spec_format = data.get("format")
+        if spec_format == 2:
+            raise ValueError(
+                "campaign spec format 2 predates the sampler field and "
+                "describes a campaign drawn with the retired SeedSequence "
+                "('sequence') sampler; this build cannot recompute it")
         if spec_format != SPEC_FORMAT and spec_format not in _COMPAT_FORMATS:
             raise ValueError(
                 f"unsupported campaign spec format {spec_format!r} "
@@ -215,16 +217,17 @@ class CampaignSpec:
                     f"campaign spec hash mismatch: file says "
                     f"{stored[:12]}…, recomputed {expected[:12]}…")
         tvla_data = dict(data["tvla"])
+        sampler = tvla_data.get("sampler", _SAMPLER)
+        if sampler != _SAMPLER:
+            raise ValueError(
+                f"campaign spec names the retired {sampler!r} sampler; "
+                f"this build only computes {_SAMPLER!r} campaigns")
         if spec_format != SPEC_FORMAT:
-            # Legacy payloads also hashed the backend selectors, which no
-            # longer exist: keep only the fields TvlaConfig still has.
+            # Legacy payloads also hashed selectors that no longer exist:
+            # keep only the fields TvlaConfig still has.
             known = {field.name for field in fields(TvlaConfig)}
             tvla_data = {key: value for key, value in tvla_data.items()
                          if key in known}
-        if spec_format == 2:
-            # The sampler knob did not exist: every legacy campaign drew
-            # through the SeedSequence discipline.
-            tvla_data["sampler"] = "sequence"
         return cls(design_name=data["design_name"],
                    bench_text=data["bench_text"],
                    tvla=tvla_config_from_dict(tvla_data),

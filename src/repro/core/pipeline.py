@@ -240,8 +240,7 @@ def protect_design(
         if store is not None:
             from ..campaign.spec import CampaignSpec
             spec = CampaignSpec.from_netlist(design, config.tvla,
-                                             n_shards=n_shards,
-                                             force_streaming=n_shards > 1)
+                                             n_shards=n_shards)
             spec_hash = spec.content_hash
             hit = store.get(spec_hash)
             if hit is not None:

@@ -31,30 +31,22 @@ live in the test suite as bit-identical oracles of this engine.
 :meth:`PowerTraceGenerator.generate_stream` slices a campaign into chunks so
 the streaming TVLA driver (:func:`repro.tvla.assessment.assess_leakage`) can
 fold traces into one-pass moment accumulators without ever materialising the
-full ``(n_traces, n_gates)`` matrix.  Passing per-chunk ``seeds`` (spawned
-from a :class:`numpy.random.SeedSequence` per ``(seed, class, group,
-chunk)`` — the :func:`repro.tvla.assessment.chunk_seed_streams` contract)
-makes every chunk's mask/noise draws a pure function of its global chunk
-coordinates, which is what lets :mod:`repro.tvla.sharding` split one
-campaign across workers and still produce t-values identical to the serial
-run for a given seed.
-
-Alternatively a :class:`~repro.power.ctrsample.CounterStream` replaces the
-seed list (``TvlaConfig.sampler="counter"``, the default): each chunk's
-mask bytes and noise popcount words then come straight off Philox counter
-blocks addressed by ``(seed, class, group, chunk, lane)``, so layout
-invariance holds by construction instead of by seed-tree discipline, and
-the masked-composite gather indexes on the raw counter byte (``d << 8 |
-byte`` into a 4096-entry replicated value table) — per-trace mask integers
-never materialise.  The ``sampler="sequence"`` path below is kept
-byte-for-byte as the frozen oracle of that stateless contract.
+full ``(n_traces, n_gates)`` matrix.  Each chunk's mask bytes and noise
+popcount words come straight off the Philox counter blocks of a
+:class:`~repro.power.ctrsample.CounterStream` addressed by ``(seed, class,
+group, chunk, lane)``, so every chunk's draws are a pure function of its
+global chunk coordinates.  That is what lets :mod:`repro.tvla.sharding`
+split one campaign across workers and still produce t-values bitwise equal
+to the serial run.  The masked-composite gather indexes on the raw counter
+byte (``d << 8 | byte`` into a 4096-entry replicated value table), so
+per-trace mask integers never materialise on that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -386,16 +378,15 @@ class PowerTraceGenerator:
         Args:
             campaign: The stimulus campaign to trace.
             rng: Generator for mask and noise draws.  Defaults to the
-                model's own sequential stream (legacy behaviour); the
-                chunked TVLA driver passes per-chunk spawned generators so
-                draws do not depend on chunk/shard layout.  With an
-                explicit ``rng`` the engine mutates no generator state, so
-                one :class:`PowerTraceGenerator` can be shared by
-                concurrent shard threads.
+                model's own sequential stream.  With an explicit ``rng``
+                the engine mutates no generator state.
             draws: Counter-sampler draws for this campaign's coordinates
-                (``sampler="counter"``): mask bytes and noise words come
-                straight off Philox counter blocks instead of ``rng``.
-                Mutually exclusive with ``rng``.
+                (the TVLA drivers' path, via :meth:`generate_stream`): mask
+                bytes and noise words come straight off Philox counter
+                blocks instead of ``rng``, and no generator state is
+                mutated, so one :class:`PowerTraceGenerator` can be shared
+                by concurrent shard threads.  Mutually exclusive with
+                ``rng``.
 
         Raises:
             ValueError: if both ``rng`` and ``draws`` are passed.
@@ -458,7 +449,7 @@ class PowerTraceGenerator:
                 # Counter path: word-wide code combine, then a gather on
                 # ``d << 8 | raw_byte`` — the raw Philox bytes index the
                 # replicated table directly, so the ``& mask`` pass of the
-                # sequence path (and its per-trace mask integers) is gone.
+                # rng path (and its per-trace mask integers) is gone.
                 flat = combine_transition_codes(shares).astype(np.uint16)
                 width = flat.shape[0]
                 raw = draws.mask_bytes(group_index, width, n_traces)
@@ -505,8 +496,7 @@ class PowerTraceGenerator:
         self,
         campaign: TraceCampaign,
         chunk_traces: int,
-        seeds: Optional[Sequence[Union[int, np.random.SeedSequence]]] = None,
-        counter_stream: Optional[CounterStream] = None,
+        counter_stream: CounterStream,
         first_chunk: int = 0,
     ) -> Iterator[PowerTraces]:
         """Yield ``campaign``'s traces in chunks of at most ``chunk_traces``.
@@ -518,50 +508,23 @@ class PowerTraceGenerator:
         Args:
             campaign: The stimulus campaign (possibly a shard's sub-range).
             chunk_traces: Maximum traces per yielded block.
-            seeds: Optional per-chunk RNG seeds (ints or ``SeedSequence``
-                objects), one per chunk of this campaign in order.  When
-                given, each chunk's mask/noise draws come from a fresh
-                ``numpy.random.default_rng(seed)`` instead of the model's
-                sequential stream, making the generated traces independent
-                of how the surrounding campaign was chunked or sharded.
-                The TVLA drivers pass the streams spawned per ``(seed,
-                class, group, chunk)`` by
-                :func:`repro.tvla.assessment.chunk_seed_streams`; shards of
-                one campaign hand in the sub-range of streams matching
-                their global chunk offset, never streams of their own.
-            counter_stream: Counter-sampler alternative to ``seeds``
-                (``sampler="counter"``): each chunk's draws are read
-                directly off the stream's Philox counter blocks at global
-                chunk index ``first_chunk + i``, no seed list needed.
-                Mutually exclusive with ``seeds``.
+            counter_stream: The campaign group's counter stream; chunk
+                ``i`` reads its draws off the Philox blocks at global chunk
+                index ``first_chunk + i``, so the traces do not depend on
+                how the surrounding campaign was chunked or sharded.
             first_chunk: Global index of this campaign's first chunk
-                (shards pass their chunk offset); only meaningful with
-                ``counter_stream`` — the sequence path encodes the offset
-                in the ``seeds`` sub-range instead.
+                (shards pass their chunk offset).
 
         Raises:
-            ValueError: if ``chunk_traces < 1``, ``seeds`` does not have
-                exactly one entry per chunk, or both ``seeds`` and
-                ``counter_stream`` are passed.
+            ValueError: if ``chunk_traces < 1``.
         """
         if chunk_traces < 1:
             raise ValueError("chunk_traces must be >= 1")
-        if seeds is not None and counter_stream is not None:
-            raise ValueError("pass either seeds or counter_stream, not both")
         n = campaign.n_traces
-        n_chunks = (n + chunk_traces - 1) // chunk_traces
-        if seeds is not None and len(seeds) != n_chunks:
-            raise ValueError(
-                f"got {len(seeds)} chunk seeds for {n_chunks} chunks")
         for index, start in enumerate(range(0, n, chunk_traces)):
             chunk = campaign.slice(start, min(n, start + chunk_traces))
-            if counter_stream is not None:
-                yield self.generate(
-                    chunk, draws=counter_stream.draws(first_chunk + index))
-            else:
-                rng = (np.random.default_rng(seeds[index])
-                       if seeds is not None else None)
-                yield self.generate(chunk, rng=rng)
+            yield self.generate(
+                chunk, draws=counter_stream.draws(first_chunk + index))
 
     def generate_pair(
         self, campaigns: Tuple[TraceCampaign, TraceCampaign]

@@ -14,8 +14,7 @@ replacing any of it:
   disk.  Folding is delegated to
   :func:`repro.tvla.sharding.merge_shard_partials` over the present
   shards in shard-index order — the global-chunk-order association that
-  makes the counter sampler's results bitwise independent of shard
-  layout — so the progress frame emitted after the final shard is
+  makes results bitwise independent of shard layout — so the progress frame emitted after the final shard is
   bitwise equal to the collected assessment;
 * a monitor task rescans checkpoint directories (catching shards
   computed by plain ``polaris-campaign work`` processes that do not
@@ -424,10 +423,10 @@ class AssessmentService:
         """Merge the present shards in shard-index order (blocking).
 
         The fold order is the global shard order restricted to the
-        present subset — for the counter sampler every chunk's
-        accumulators are keyed to global chunk coordinates, so once all
-        shards are present this is *exactly* the batch merge and the
-        resulting arrays are bitwise equal to ``collect_result``'s.
+        present subset — every chunk's accumulators are keyed to global
+        chunk coordinates, so once all shards are present this is
+        *exactly* the batch merge and the resulting arrays are bitwise
+        equal to ``collect_result``'s.
         """
         config = campaign.spec.tvla
         present = sorted(campaign.partials)
@@ -437,7 +436,7 @@ class AssessmentService:
             class_results, campaign.spec.design_name,
             campaign.gate_names(), config,
             time.perf_counter() - campaign.started_at,
-            streamed=True, n_shards=campaign.n_shards)
+            n_shards=campaign.n_shards)
 
     def _progress_frame(self, campaign: _Campaign,
                         assessment: LeakageAssessment) -> CampaignProgress:

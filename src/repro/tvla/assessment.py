@@ -6,29 +6,21 @@ per-gate power traces, and computes Welch's t statistic for every gate.  The
 result exposes both raw t-values and the normalised "leakage value per gate"
 (|t| / 4.5) that the paper's Table II aggregates per design.
 
-The campaign driver is **chunked**: traces are generated in blocks of
-``TvlaConfig.chunk_traces`` and either folded into
-:class:`~repro.tvla.moments.OnePassMoments` accumulators (streaming mode,
-the paper's §II-A acquisition-time moment computation after Schneider &
-Moradi — memory stays ``O(chunk_traces × n_gates)`` regardless of the trace
-count) or stacked into full matrices for the classic two-pass Welch test.
-Both modes consume identical traces, so their t-values agree to floating-
-point merge error (~1e-12); streaming is selected automatically for
-paper-scale campaigns.
+The campaign driver is **chunked** and **streams**: traces are generated
+in blocks of ``TvlaConfig.chunk_traces`` and folded into
+:class:`~repro.tvla.moments.OnePassMoments` accumulators, the paper's
+§II-A acquisition-time moment computation after Schneider & Moradi.  Trace
+memory stays ``O(chunk_traces × n_gates)`` regardless of the trace count,
+and every assessment, whatever its size, takes this one numerical path.
 
-Every chunk's mask/noise randomness is a pure function of its ``(seed,
-class, group, chunk)`` coordinates, so for a given ``TvlaConfig.seed`` and
-``chunk_traces`` the generated traces — and therefore the t-values — are
-identical no matter how the campaign is chunked across workers.  That is
-the property :mod:`repro.tvla.sharding` builds on to split campaigns over
-thread/process pools and merge the partial accumulators losslessly.  Two
-sampler disciplines realise it (``TvlaConfig.sampler``): ``"counter"``
-(default) reads Philox counter blocks addressed by those coordinates
-(:mod:`repro.power.ctrsample` — stateless, layout-invariant by
-construction), while ``"sequence"`` walks a dedicated
-``numpy.random.SeedSequence`` spawned per coordinate
-(:func:`chunk_seed_streams`) and is retained as the frozen oracle of the
-stateless contract.
+Every chunk's mask/noise randomness is read off Philox counter blocks
+addressed by its ``(seed, class, group, chunk)`` coordinates
+(:class:`~repro.power.ctrsample.CounterStream`), so for a given
+``TvlaConfig.seed`` and ``chunk_traces`` the generated traces — and
+therefore the t-values — are identical no matter how the campaign is
+chunked across workers.  That is the property :mod:`repro.tvla.sharding`
+builds on to split campaigns over thread/process pools and merge the
+partial accumulators bitwise-exactly.
 
 With ``TvlaConfig.tvla_order > 1`` the driver additionally evaluates the
 higher-order (centered-variance / standardised-skewness) t-tests from the
@@ -40,14 +32,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.netlist import Netlist
-from ..power.ctrsample import SAMPLERS, CounterStream
+from ..power.ctrsample import CounterStream
 from ..power.model import PowerModelConfig
-from ..power.traces import PowerTraceGenerator
+from ..power.traces import PowerTraces, PowerTraceGenerator
 from ..simulation.vectors import (
     TraceCampaign,
     fixed_vs_fixed_campaigns,
@@ -60,7 +52,6 @@ from .welch import (
     moment_order_for_tvla,
     welch_from_accumulators,
     welch_higher_order,
-    welch_t_test,
 )
 
 #: A (group0, group1) campaign pair, one per fixed class.
@@ -69,6 +60,9 @@ CampaignPair = Tuple[TraceCampaign, TraceCampaign]
 #: TVLA orders the engine knows how to evaluate (paper order 1 plus the
 #: Schneider & Moradi order-2/3 extensions backed by the moment engine).
 SUPPORTED_TVLA_ORDERS = (1, 2, 3)
+
+#: Campaign modes :class:`TvlaConfig` accepts.
+TVLA_MODES = ("fixed_vs_random", "fixed_vs_fixed")
 
 
 @dataclass(frozen=True)
@@ -89,31 +83,19 @@ class TvlaConfig:
         seed: RNG seed for stimulus and noise.
         power: Power-model configuration.
         chunk_traces: Trace-block size of the chunked campaign driver; each
-            group is simulated and folded/stacked ``chunk_traces`` rows at a
-            time.  Bounds peak trace memory in streaming mode and keeps the
-            matrix pipeline cache-resident.  Also the granularity of shard
-            boundaries and of the per-chunk spawned RNG streams, so results
-            depend on ``chunk_traces`` but **not** on the shard layout.
-        streaming: ``True`` forces one-pass streaming accumulation,
-            ``False`` forces the two-pass matrix test, ``None`` (default)
-            streams automatically whenever a group exceeds one chunk (i.e.
-            for paper-scale campaigns).
+            group is simulated and folded ``chunk_traces`` rows at a time,
+            which bounds peak trace memory.  Also the granularity of shard
+            boundaries and of the counter-sampler chunk coordinates, so
+            results depend on ``chunk_traces`` but **not** on the shard
+            layout.
         tvla_order: Highest TVLA order to evaluate (1, 2 or 3).  Orders
-            above 1 are computed from the moment accumulators (the engine
-            tracks central moments up to ``2 * tvla_order``), so they force
-            the streaming path regardless of ``streaming``.
-        sampler: Mask/noise sampling discipline: ``"counter"`` (default)
-            draws every chunk's randomness straight off Philox counter
-            blocks addressed by ``(seed, class, group, chunk, lane)``
-            (:mod:`repro.power.ctrsample`), making draws stateless and
-            shard-layout invariance hold by construction; ``"sequence"``
-            keeps the nested ``SeedSequence.spawn`` streams
-            (:func:`chunk_seed_streams`) as the frozen stateless-contract
-            oracle, bit-identical to the pre-counter implementation.  The
-            two samplers draw from different streams, so their t-values
-            differ numerically (both are valid TVLA campaigns); within a
-            sampler, results are exactly equal across any chunking,
-            sharding or executor layout.
+            above 1 are computed from the same moment accumulators (the
+            engine tracks central moments up to ``2 * tvla_order``).
+
+    Raises:
+        ValueError: at construction, for ``n_fixed_classes < 1``,
+            ``chunk_traces < 1``, an unknown ``mode`` or an unsupported
+            ``tvla_order``.
     """
 
     n_traces: int = 1000
@@ -123,40 +105,24 @@ class TvlaConfig:
     seed: int = 0
     power: PowerModelConfig = field(default_factory=PowerModelConfig)
     chunk_traces: int = 2048
-    streaming: Optional[bool] = None
     tvla_order: int = 1
-    sampler: str = "counter"
 
     def __post_init__(self) -> None:
+        if self.mode not in TVLA_MODES:
+            raise ValueError(
+                f"mode must be one of {TVLA_MODES}, got {self.mode!r}")
+        if self.n_fixed_classes < 1:
+            raise ValueError("n_fixed_classes must be >= 1")
         if self.chunk_traces < 1:
             raise ValueError("chunk_traces must be >= 1")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(
-                f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if self.tvla_order not in SUPPORTED_TVLA_ORDERS:
             raise ValueError(
                 f"tvla_order must be one of {SUPPORTED_TVLA_ORDERS}, "
                 f"got {self.tvla_order!r}")
 
-    def resolved_streaming(self) -> bool:
-        """Whether assessments with this config stream their moments.
-
-        Higher-order testing always streams: the order-2/3 statistics are
-        functions of the central-moment accumulators.
-        """
-        if self.tvla_order > 1:
-            return True
-        if self.streaming is not None:
-            return self.streaming
-        return self.n_traces > self.chunk_traces
-
     def moment_order(self) -> int:
         """Accumulator ``max_order`` required by ``tvla_order``."""
         return moment_order_for_tvla(self.tvla_order)
-
-    def n_chunks(self) -> int:
-        """Number of trace chunks per campaign group."""
-        return (self.n_traces + self.chunk_traces - 1) // self.chunk_traces
 
 
 @dataclass
@@ -172,7 +138,6 @@ class LeakageAssessment:
         n_traces: Traces per group used for the assessment.
         elapsed_seconds: Wall-clock time of the assessment.
         mean_abs_t: Mean |t| across the fixed classes (None for one class).
-        streamed: Whether the one-pass streaming accumulator path was used.
         tvla_order: Highest TVLA order evaluated.
         order_t_values: Per-gate worst-class t statistic of each evaluated
             higher order (keys 2, 3, ...; empty when ``tvla_order == 1``).
@@ -192,7 +157,6 @@ class LeakageAssessment:
     n_traces: int
     elapsed_seconds: float
     mean_abs_t: Optional[np.ndarray] = None
-    streamed: bool = False
     tvla_order: int = 1
     order_t_values: Dict[int, np.ndarray] = field(default_factory=dict)
     n_shards: int = 1
@@ -299,7 +263,6 @@ class LeakageAssessment:
             "max_abs_t": float(np.abs(self.t_values).max()) if self.t_values.size else 0.0,
             "n_traces": self.n_traces,
             "elapsed_seconds": self.elapsed_seconds,
-            "streamed": self.streamed,
             "tvla_order": self.tvla_order,
             "n_shards": self.n_shards,
         }
@@ -316,14 +279,9 @@ def campaign_schedule(netlist: Netlist,
     configuration, so :func:`repro.core.pipeline.protect_design` builds it
     once and reuses it for the before and after assessments (masking
     preserves the primary inputs).
-
-    Raises:
-        ValueError: for unknown campaign modes.
     """
-    if config.mode not in ("fixed_vs_random", "fixed_vs_fixed"):
-        raise ValueError(f"unknown TVLA mode {config.mode!r}")
     schedule = []
-    for class_index in range(max(1, config.n_fixed_classes)):
+    for class_index in range(config.n_fixed_classes):
         class_seed = config.seed + 613 * class_index
         if config.mode == "fixed_vs_random":
             schedule.append(fixed_vs_random_campaigns(
@@ -338,41 +296,22 @@ def campaign_schedule(netlist: Netlist,
 
 
 # ----------------------------------------------------------------------
-# Per-chunk RNG streams and accumulation (shared with repro.tvla.sharding)
+# Per-chunk accumulation (shared with repro.tvla.sharding)
 # ----------------------------------------------------------------------
-def chunk_seed_streams(seed: int, class_index: int, group_index: int,
-                       n_chunks: int) -> List[np.random.SeedSequence]:
-    """Per-chunk mask/noise seed streams of one campaign group.
+def _group_chunks(generator: PowerTraceGenerator, pair: CampaignPair,
+                  config: TvlaConfig, class_index: int,
+                  first_chunk: int) -> Iterator[Tuple[int, PowerTraces]]:
+    """``(group_index, chunk traces)`` of one class's (sliced) campaign pair.
 
-    Derived by nested ``numpy.random.SeedSequence.spawn``: the campaign
-    root spawns one child per fixed class, each class one child per group
-    and each group one child per trace chunk.  A chunk's stream is
-    therefore a pure function of ``(seed, class, group, chunk index)`` —
-    independent streams that are reproducible regardless of which worker
-    or shard processes the chunk.
+    Each group's chunks draw from the :class:`CounterStream` of its
+    ``(seed, class, group)`` coordinates at global chunk index
+    ``first_chunk + i``.
     """
-    root = np.random.SeedSequence(seed)
-    class_seq = root.spawn(class_index + 1)[class_index]
-    group_seq = class_seq.spawn(group_index + 1)[group_index]
-    return group_seq.spawn(n_chunks)
-
-
-def _group_stream_kwargs(config: TvlaConfig, class_index: int,
-                         group_index: int, first_chunk: int,
-                         n_local: int) -> dict:
-    """``generate_stream`` randomness arguments for one campaign group.
-
-    Counter sampler: one stateless :class:`CounterStream` plus the global
-    chunk offset.  Sequence sampler: the slice of spawned per-chunk seed
-    streams matching the same global chunk range.
-    """
-    if config.sampler == "counter":
-        return {"counter_stream": CounterStream(config.seed, class_index,
-                                                group_index),
-                "first_chunk": first_chunk}
-    seeds = chunk_seed_streams(config.seed, class_index, group_index,
-                               config.n_chunks())
-    return {"seeds": seeds[first_chunk:first_chunk + n_local]}
+    for group_index, campaign in enumerate(pair):
+        stream = CounterStream(config.seed, class_index, group_index)
+        for traces in generator.generate_stream(campaign, config.chunk_traces,
+                                                stream, first_chunk):
+            yield group_index, traces
 
 
 def accumulate_campaign_slice(
@@ -389,10 +328,11 @@ def accumulate_campaign_slice(
         pair: The class's ``(group0, group1)`` campaigns — either the full
             campaigns or a chunk-aligned shard slice of both.
         config: Campaign configuration (defines chunk size and seeds).
-        class_index: Index of the fixed class (selects the seed stream).
+        class_index: Index of the fixed class (selects the counter
+            stream).
         first_chunk: Global index of the slice's first chunk; shards pass
-            their offset so every chunk consumes the same spawned RNG
-            stream it would consume in the serial run.
+            their offset so every chunk consumes the same counter blocks
+            it would consume in the serial run.
 
     Returns:
         ``(acc0, acc1)`` accumulators tracking central moments up to
@@ -402,13 +342,9 @@ def accumulate_campaign_slice(
     max_order = config.moment_order()
     accumulators = (OnePassMoments(max_order=max_order, shape=shape),
                     OnePassMoments(max_order=max_order, shape=shape))
-    for group_index, campaign in enumerate(pair):
-        n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        kwargs = _group_stream_kwargs(config, class_index, group_index,
-                                      first_chunk, n_local)
-        for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                **kwargs):
-            accumulators[group_index].update_batch(traces.per_gate)
+    for group_index, traces in _group_chunks(generator, pair, config,
+                                             class_index, first_chunk):
+        accumulators[group_index].update_batch(traces.per_gate)
     return accumulators
 
 
@@ -423,8 +359,7 @@ def accumulate_campaign_chunks(
 
     Same traces as :func:`accumulate_campaign_slice`, but every chunk gets
     its **own** fresh accumulator pair instead of being folded into one
-    running pair.  Sharded counter campaigns return these unmerged so the
-    merge step can left-fold all chunks in global chunk order — the exact
+    running pair.  Shards return these unmerged so the merge step can left-fold all chunks in global chunk order — the exact
     associativity order of the serial run — which is what makes sharded
     t-values bitwise equal to serial ones (not merely ~1e-12 close).
     ``update_batch`` on an empty accumulator stores the batch moments
@@ -437,15 +372,11 @@ def accumulate_campaign_chunks(
     shape = (generator.n_gates,)
     max_order = config.moment_order()
     per_chunk: Tuple[List[OnePassMoments], List[OnePassMoments]] = ([], [])
-    for group_index, campaign in enumerate(pair):
-        n_local = (campaign.n_traces + config.chunk_traces - 1) // config.chunk_traces
-        kwargs = _group_stream_kwargs(config, class_index, group_index,
-                                      first_chunk, n_local)
-        for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                **kwargs):
-            accumulator = OnePassMoments(max_order=max_order, shape=shape)
-            accumulator.update_batch(traces.per_gate)
-            per_chunk[group_index].append(accumulator)
+    for group_index, traces in _group_chunks(generator, pair, config,
+                                             class_index, first_chunk):
+        accumulator = OnePassMoments(max_order=max_order, shape=shape)
+        accumulator.update_batch(traces.per_gate)
+        per_chunk[group_index].append(accumulator)
     return per_chunk
 
 
@@ -458,37 +389,12 @@ def results_from_accumulators(acc0: OnePassMoments, acc1: OnePassMoments,
     return results
 
 
-def _class_results(generator: PowerTraceGenerator, pair: CampaignPair,
-                   config: TvlaConfig, class_index: int,
-                   streamed: bool) -> Dict[int, WelchResult]:
-    """Per-order Welch's t-tests for one fixed class via the chunked driver.
-
-    Both modes pull identical traces (same per-chunk spawned RNG streams),
-    so the streaming result equals the two-pass result up to the
-    floating-point error of the moment merge.
-    """
-    if streamed:
-        acc0, acc1 = accumulate_campaign_slice(generator, pair, config,
-                                               class_index)
-        return results_from_accumulators(acc0, acc1, config)
-    blocks: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
-    for group_index, campaign in enumerate(pair):
-        kwargs = _group_stream_kwargs(config, class_index, group_index, 0,
-                                      config.n_chunks())
-        for traces in generator.generate_stream(campaign, config.chunk_traces,
-                                                **kwargs):
-            blocks[group_index].append(traces.per_gate)
-    return {1: welch_t_test(np.concatenate(blocks[0]),
-                            np.concatenate(blocks[1]))}
-
-
 def aggregate_class_results(
     class_results: Sequence[Dict[int, WelchResult]],
     netlist_name: str,
     gate_names: Tuple[str, ...],
     config: TvlaConfig,
     elapsed_seconds: float,
-    streamed: bool,
     n_shards: int = 1,
 ) -> LeakageAssessment:
     """Combine per-class per-order Welch results into one assessment.
@@ -528,7 +434,6 @@ def aggregate_class_results(
         n_traces=config.n_traces,
         elapsed_seconds=elapsed_seconds,
         mean_abs_t=abs_sum / len(class_results),
-        streamed=streamed,
         tvla_order=config.tvla_order,
         order_t_values={order: values for order, values in worst_t.items()
                         if order > 1},
@@ -541,16 +446,12 @@ def validate_campaigns(netlist: Netlist, config: TvlaConfig,
     """Check a pre-built schedule against a configuration and netlist.
 
     Raises:
-        ValueError: for unknown campaign modes or a schedule that does not
-            match the configuration.
+        ValueError: for a schedule that does not match the configuration.
     """
-    if config.mode not in ("fixed_vs_random", "fixed_vs_fixed"):
-        raise ValueError(f"unknown TVLA mode {config.mode!r}")
-    n_classes = max(1, config.n_fixed_classes)
-    if len(campaigns) != n_classes:
+    if len(campaigns) != config.n_fixed_classes:
         raise ValueError(
             f"campaign schedule has {len(campaigns)} classes; the "
-            f"configuration expects {n_classes}")
+            f"configuration expects {config.n_fixed_classes}")
     for pair in campaigns:
         for campaign in pair:
             if tuple(campaign.input_names) != tuple(netlist.primary_inputs):
@@ -599,8 +500,7 @@ def assess_leakage(netlist: Netlist,
         (per configured TVLA order).
 
     Raises:
-        ValueError: for unknown campaign modes or a schedule that does not
-            match the configuration.
+        ValueError: for a schedule that does not match the configuration.
     """
     config = config if config is not None else TvlaConfig()
     start = time.perf_counter()
@@ -609,16 +509,16 @@ def assess_leakage(netlist: Netlist,
     else:
         validate_campaigns(netlist, config, campaigns)
     generator = resolve_generator(netlist, config, generator)
-    streamed = config.resolved_streaming()
 
     class_results = [
-        _class_results(generator, pair, config, class_index, streamed)
+        results_from_accumulators(
+            *accumulate_campaign_slice(generator, pair, config, class_index),
+            config)
         for class_index, pair in enumerate(campaigns)
     ]
     elapsed = time.perf_counter() - start
     return aggregate_class_results(class_results, netlist.name,
-                                   generator.gate_names, config, elapsed,
-                                   streamed)
+                                   generator.gate_names, config, elapsed)
 
 
 def compare_assessments(before: LeakageAssessment,

@@ -9,22 +9,15 @@ Welch verdict (all configured TVLA orders).
 
 Three properties make the result trustworthy:
 
-* **Shard-layout invariance** — every chunk's mask/noise randomness is a
-  pure function of its ``(seed, class, group, chunk)`` coordinates: Philox
-  counter blocks under ``TvlaConfig.sampler="counter"`` (the default; see
-  :mod:`repro.power.ctrsample`), spawned ``numpy.random.SeedSequence``
-  streams under ``sampler="sequence"`` (see
-  :func:`repro.tvla.assessment.chunk_seed_streams`).  Shards therefore
-  generate exactly the traces the serial run would.
-* **Lossless merge** — partial accumulators combine with the exact pairwise
-  Chan/Pébay formulas (:meth:`OnePassMoments.merge`), in deterministic
-  shard order.  Under the sequence sampler each shard folds its chunks
-  into one running accumulator pair and t-values agree with the unsharded
-  streaming path to floating-point merge error (~1e-12).  Under the
-  counter sampler shards return **per-chunk** accumulators unmerged and
-  the merge left-folds them in global chunk order — the serial run's exact
-  association — so sharded t-values are **bitwise equal** to serial ones
-  for any shard count and executor.
+* **Shard-layout invariance** — every chunk's mask/noise randomness is
+  read off Philox counter blocks addressed by its ``(seed, class, group,
+  chunk)`` coordinates (see :mod:`repro.power.ctrsample`).  Shards
+  therefore generate exactly the traces the serial run would.
+* **Lossless merge** — shards return **per-chunk** accumulators unmerged
+  and the merge left-folds them in global chunk order with the exact
+  pairwise Chan/Pébay formulas (:meth:`OnePassMoments.merge`) — the serial
+  run's exact association — so sharded t-values are **bitwise equal** to
+  serial ones for any shard count and executor.
 * **Pluggable executors** — ``"serial"`` (inline), ``"thread"``
   (:class:`~concurrent.futures.ThreadPoolExecutor`; workers share one
   read-only trace generator per design) or ``"process"``
@@ -53,7 +46,6 @@ from .assessment import (
     LeakageAssessment,
     TvlaConfig,
     accumulate_campaign_chunks,
-    accumulate_campaign_slice,
     aggregate_class_results,
     campaign_schedule,
     resolve_generator,
@@ -68,18 +60,11 @@ EXECUTORS = ("serial", "thread", "process")
 
 ExecutorLike = Union[str, Executor]
 
-#: One shard's partial accumulators: per fixed class, a (group0, group1)
-#: pair of :class:`OnePassMoments` (sequence-sampler shards).
-ShardMoments = List[Tuple[OnePassMoments, OnePassMoments]]
-
-#: One counter-sampler shard's partials: per fixed class, a (group0,
-#: group1) pair of **per-chunk accumulator lists** in local chunk order,
-#: returned unmerged so the campaign merge can left-fold all chunks in
-#: global chunk order (the serial association — bitwise-equal results).
-ShardChunkMoments = List[Tuple[List[OnePassMoments], List[OnePassMoments]]]
-
-#: Either partial form; :func:`merge_shard_partials` dispatches on shape.
-ShardPartials = Union[ShardMoments, ShardChunkMoments]
+#: One shard's partials: per fixed class, a (group0, group1) pair of
+#: **per-chunk accumulator lists** in local chunk order, returned unmerged
+#: so the campaign merge can left-fold all chunks in global chunk order
+#: (the serial association — bitwise-equal results).
+ShardPartials = List[Tuple[List[OnePassMoments], List[OnePassMoments]]]
 
 
 def shard_trace_ranges(n_traces: int, n_shards: int,
@@ -87,8 +72,8 @@ def shard_trace_ranges(n_traces: int, n_shards: int,
     """Split ``[0, n_traces)`` into contiguous chunk-aligned shard ranges.
 
     Shard boundaries always fall on ``chunk_traces`` multiples so every
-    shard consumes whole chunks (and therefore whole per-chunk RNG
-    streams).  Chunks are distributed as evenly as possible; when there are
+    shard consumes whole chunks (and therefore whole per-chunk counter
+    coordinates).  Chunks are distributed as evenly as possible; when there are
     fewer chunks than requested shards the surplus shards are dropped, so
     the returned tuple may be shorter than ``n_shards`` but never contains
     an empty range.
@@ -117,28 +102,17 @@ def shard_trace_ranges(n_traces: int, n_shards: int,
     return tuple(ranges)
 
 
-def _shard_accumulator(config: TvlaConfig):
-    """Per-chunk accumulators under the counter sampler, one running pair
-    under the sequence sampler (see :func:`merge_shard_partials`)."""
-    return (accumulate_campaign_chunks if config.sampler == "counter"
-            else accumulate_campaign_slice)
-
-
 def _shard_moments(generator: PowerTraceGenerator,
                    campaigns: Sequence[CampaignPair], config: TvlaConfig,
                    start: int, stop: int) -> ShardPartials:
-    """Fold traces ``[start, stop)`` of every class into fresh accumulators.
-
-    Counter-sampler shards keep one accumulator **per chunk** (unmerged);
-    sequence-sampler shards fold their chunks into one running pair —
-    see :func:`merge_shard_partials` for why the forms differ.
+    """Fold traces ``[start, stop)`` of every class into one fresh
+    accumulator **per chunk** (unmerged; see :func:`merge_shard_partials`).
     """
     first_chunk = start // config.chunk_traces
-    accumulate = _shard_accumulator(config)
     partials: ShardPartials = []
     for class_index, pair in enumerate(campaigns):
         sliced = (pair[0].slice(start, stop), pair[1].slice(start, stop))
-        partials.append(accumulate(
+        partials.append(accumulate_campaign_chunks(
             generator, sliced, config, class_index, first_chunk=first_chunk))
     return partials
 
@@ -152,16 +126,15 @@ def _shard_moments_rebuilt(netlist: Netlist,
     Module-level (picklable) and self-contained: the worker receives the
     netlist plus already-sliced campaigns, so only the shard's stimulus
     crosses a process boundary; ``first_chunk`` anchors the slices to
-    their global RNG streams (each chunk consumes the draws of its global
-    ``(seed, class, group, chunk)`` coordinates, which is what makes the
-    result shard-layout invariant).
+    their global counter coordinates (each chunk consumes the draws of its
+    global ``(seed, class, group, chunk)`` coordinates, which is what makes
+    the result shard-layout invariant).
     """
     generator = PowerTraceGenerator(netlist, config=config.power,
                                     seed=config.seed)
-    accumulate = _shard_accumulator(config)
     return [
-        accumulate(generator, pair, config, class_index,
-                   first_chunk=first_chunk)
+        accumulate_campaign_chunks(generator, pair, config, class_index,
+                                   first_chunk=first_chunk)
         for class_index, pair in enumerate(sliced_campaigns)
     ]
 
@@ -283,9 +256,8 @@ def merge_shard_partials(shard_results: Sequence[ShardPartials],
     resumed campaigns and store-cached results with the same shard layout
     are all bit-identical.
 
-    Counter-sampler shards (:data:`ShardChunkMoments`, detected by shape)
-    carry per-chunk accumulators; since shard ranges are contiguous and
-    ascending, concatenating them in shard order lists every chunk in
+    Shards carry per-chunk accumulators; since shard ranges are contiguous
+    and ascending, concatenating them in shard order lists every chunk in
     global chunk order, and the left-fold below reproduces the serial
     run's association exactly — ``update_batch`` on an empty accumulator
     stores the batch moments directly and ``merge`` replays the very same
@@ -293,15 +265,12 @@ def merge_shard_partials(shard_results: Sequence[ShardPartials],
     **bitwise equal** to the serial run's, independent of shard layout.
     """
     n_classes = len(shard_results[0])
-    per_chunk = isinstance(shard_results[0][0][0], list)
     class_results = []
     for class_index in range(n_classes):
         merged0: Optional[OnePassMoments] = None
         merged1: Optional[OnePassMoments] = None
         for partials in shard_results:
-            group0, group1 = partials[class_index]
-            chunks0 = group0 if per_chunk else [group0]
-            chunks1 = group1 if per_chunk else [group1]
+            chunks0, chunks1 = partials[class_index]
             for acc0 in chunks0:
                 merged0 = acc0 if merged0 is None else merged0.merge(acc0)
             for acc1 in chunks1:
@@ -319,7 +288,6 @@ def _collect_design(design: _ShardedDesign) -> LeakageAssessment:
     elapsed = time.perf_counter() - design.started_at
     return aggregate_class_results(class_results, design.netlist.name,
                                    design.gate_names, config, elapsed,
-                                   streamed=True,
                                    n_shards=len(design.futures))
 
 
@@ -334,13 +302,11 @@ def assess_leakage_sharded(
 ) -> LeakageAssessment:
     """Run one TVLA campaign split into ``n_shards`` parallel shards.
 
-    Produces the same verdict as the unsharded streaming
+    Produces bitwise the same verdict as the unsharded
     :func:`~repro.tvla.assessment.assess_leakage` for any shard count,
     because trace randomness is keyed to global chunk indices rather than
-    to a shared sequential stream: bitwise-equal t-values under the
-    counter sampler (per-chunk partials folded in the serial order),
-    floating-point merge error (~1e-12) under the sequence sampler; see
-    the module docstring.
+    to a shared sequential stream, and per-chunk partials are folded in the
+    serial order; see the module docstring.
 
     Args:
         netlist: The design to assess.
@@ -423,8 +389,7 @@ def assess_many(
         to_run = []
         for netlist in netlists:
             spec = CampaignSpec.from_netlist(netlist, config,
-                                             n_shards=n_shards,
-                                             force_streaming=True)
+                                             n_shards=n_shards)
             hashes[netlist.name] = spec.content_hash
             hit = store.get(spec.content_hash)
             if hit is not None:

@@ -26,6 +26,7 @@ from .power import (
     masked_power,
     unmasked_power,
 )
+from .sampling import chunk_seed_streams
 from .simulation import LoopResult, LoopSimulator
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "LoopSimulator",
     "UnpackedPowerTraceGenerator",
     "add_noise",
+    "chunk_seed_streams",
     "generate_loop",
     "masked_power",
     "unmasked_power",

@@ -58,7 +58,7 @@ from repro.tvla import (
 #: Campaign settings shared by the runner tests: 240 traces in 48-trace
 #: chunks -> 5 chunks, so 3 shards give a 2/2/1 split.
 CAMPAIGN_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
-                     chunk_traces=48, streaming=True)
+                     chunk_traces=48)
 
 
 @pytest.fixture
@@ -140,27 +140,27 @@ class TestMomentsSerialisation:
 
     def test_shard_moments_pack_round_trip(self, rng):
         partials = []
-        for _ in range(3):  # 3 fixed classes
+        for _ in range(3):  # 3 fixed classes, one chunk per group
             pair = []
             for _ in range(2):
                 acc = OnePassMoments(max_order=4, shape=(6,))
                 acc.update_batch(rng.normal(size=(20, 6)))
-                pair.append(acc)
+                pair.append([acc])
             partials.append((pair[0], pair[1]))
         revived = unpack_shard_moments(pack_shard_moments(partials))
         assert len(revived) == 3
         for (acc0, acc1), (rev0, rev1) in zip(partials, revived):
-            assert np.array_equal(acc0.central_moment(4),
-                                  rev0.central_moment(4))
-            assert np.array_equal(acc1.mean, rev1.mean)
+            assert np.array_equal(acc0[0].central_moment(4),
+                                  rev0[0].central_moment(4))
+            assert np.array_equal(acc1[0].mean, rev1[0].mean)
 
     def test_packed_shard_garbage_rejected(self):
         with pytest.raises(ValueError, match="shard-moments"):
             unpack_shard_moments(b"garbage")
 
     def test_per_chunk_shard_moments_round_trip(self, rng):
-        # Counter-sampler shards checkpoint UNMERGED per-chunk accumulator
-        # lists (the SHM2 wire format); the round-trip must preserve both
+        # Shards checkpoint UNMERGED per-chunk accumulator lists (the
+        # SHM2 wire format); the round-trip must preserve both
         # the chunk structure and every accumulator bit-for-bit.
         partials = []
         for class_index in range(2):
@@ -267,15 +267,18 @@ class TestCampaignSpec:
         assert capped.content_hash == exact.content_hash
 
     def test_streaming_resolved_into_hash(self, small_benchmark):
-        # A serial two-pass run and a streamed run must never share a
-        # cache entry: their t-values differ at the ~1e-12 level.
-        auto = TvlaConfig(n_traces=100, n_fixed_classes=1, chunk_traces=2048)
-        two_pass = CampaignSpec.from_netlist(small_benchmark, auto, 1)
-        streamed = CampaignSpec.from_netlist(small_benchmark, auto, 1,
-                                             force_streaming=True)
-        assert two_pass.tvla.streaming is False
-        assert streamed.tvla.streaming is True
-        assert two_pass.content_hash != streamed.content_hash
+        # Nothing is resolved any more: every driver streams, so a
+        # one-chunk serial campaign and a "forced" streamed one are the
+        # same campaign — one cache entry.  force_streaming is accepted
+        # as a documented no-op.
+        config = TvlaConfig(n_traces=100, n_fixed_classes=1,
+                            chunk_traces=2048)
+        serial = CampaignSpec.from_netlist(small_benchmark, config, 1)
+        forced = CampaignSpec.from_netlist(small_benchmark, config, 1,
+                                           force_streaming=True)
+        assert serial == forced
+        assert serial.content_hash == forced.content_hash
+        assert serial.tvla == config
 
     def test_json_round_trip(self, small_benchmark, campaign_config):
         spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
@@ -868,19 +871,18 @@ def _legacy_spec_data(spec, spec_format, drop=(), **tvla_extra):
 # Sampler disciplines through the durable runner (PR 8)
 # ----------------------------------------------------------------------
 class TestSamplerCampaigns:
-    """Counter/sequence sampling through the spec, queue and resume path.
+    """Counter sampling through the spec, queue and resume path.
 
-    The counter discipline upgrades the campaign contract from ~1e-12
-    closeness to bitwise equality: a queue-backed distributed campaign,
-    a killed-and-resumed campaign and the in-process serial assessment
-    all produce ``np.array_equal`` t-values.  Sequence campaigns keep
-    their historical contract, and format-2 spec files (which predate the
-    ``sampler`` knob) keep loading as sequence campaigns.
+    A queue-backed distributed campaign, a killed-and-resumed campaign and
+    the in-process serial assessment all produce ``np.array_equal``
+    t-values.  Spec files of the retired SeedSequence sampler (format 2,
+    or any file naming ``sampler="sequence"``) no longer load, but their
+    stored results are still served.
     """
 
     def test_counter_queue_campaign_is_bitwise_serial(self, small_benchmark,
                                                       campaign_root):
-        config = TvlaConfig(sampler="counter", **CAMPAIGN_TVLA)
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         reference = assess_leakage(small_benchmark, config)
         result = run_campaign(campaign_root, small_benchmark, config,
                               n_shards=3, n_workers=2)
@@ -889,13 +891,12 @@ class TestSamplerCampaigns:
         assert np.array_equal(result.degrees_of_freedom,
                               reference.degrees_of_freedom)
 
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_killed_and_resumed_campaign_bit_identical(self, small_benchmark,
-                                                       tmp_path, sampler):
+                                                       tmp_path):
         # Kill after one shard, resubmit, finish: equal to an
-        # uninterrupted campaign bit for bit, under BOTH disciplines
-        # (the checkpointed partials and the merge order are identical).
-        config = TvlaConfig(sampler=sampler, **CAMPAIGN_TVLA)
+        # uninterrupted campaign bit for bit (the checkpointed partials
+        # and the merge order are identical).
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         interrupted_root = tmp_path / "interrupted"
         clean_root = tmp_path / "clean"
         outcome = submit_campaign(interrupted_root, netlist=small_benchmark,
@@ -911,50 +912,58 @@ class TestSamplerCampaigns:
         clean = run_campaign(clean_root, small_benchmark, config,
                              n_shards=3, n_workers=1)
         _assert_assessments_equal(result, clean)
-        if sampler == "counter":
-            # ...and for counter, the campaign is also bitwise-serial.
-            reference = assess_leakage(small_benchmark, config)
-            assert np.array_equal(result.t_values, reference.t_values)
+        # ...and the campaign is also bitwise-serial.
+        reference = assess_leakage(small_benchmark, config)
+        assert np.array_equal(result.t_values, reference.t_values)
 
-    def test_sampler_separates_content_hashes(self, small_benchmark,
-                                              campaign_config):
-        import dataclasses
-        counter = CampaignSpec.from_netlist(small_benchmark,
-                                            campaign_config, 2)
-        sequence = CampaignSpec.from_netlist(
-            small_benchmark,
-            dataclasses.replace(campaign_config, sampler="sequence"), 2)
-        assert counter.tvla.sampler == "counter"
-        assert counter.content_hash != sequence.content_hash
-
-    def test_format2_spec_loads_as_sequence_campaign(self, small_benchmark,
-                                                     campaign_config):
-        # A spec file written before the sampler knob existed: format 2,
-        # no "sampler" key, content hash over the format-2 payload.  It
-        # must load as a sequence campaign and re-verify its stored hash.
-        import dataclasses
-        legacy_config = dataclasses.replace(campaign_config,
-                                            sampler="sequence")
-        spec = CampaignSpec.from_netlist(small_benchmark, legacy_config, 3)
-        data = _legacy_spec_data(spec, 2, drop=("sampler",),
+    def test_format2_spec_is_rejected(self, small_benchmark,
+                                      campaign_config):
+        # A spec file written before the sampler field existed (format 2,
+        # valid stored hash) describes a SeedSequence campaign, which this
+        # build cannot recompute.
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, 2, streaming=True,
                                  sim_backend="compiled",
                                  power_backend="packed")
+        with pytest.raises(ValueError, match="retired SeedSequence"):
+            CampaignSpec.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("spec_format", [3, 4])
+    def test_sequence_spec_is_rejected(self, small_benchmark,
+                                       campaign_config, spec_format):
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, spec_format, sampler="sequence",
+                                 streaming=True)
+        with pytest.raises(ValueError, match="retired 'sequence' sampler"):
+            CampaignSpec.from_json(json.dumps(data))
+
+    def test_format4_counter_spec_loads(self, small_benchmark,
+                                        campaign_config):
+        # Format 4 still hashed the sampler and streaming selectors; a
+        # counter campaign loads as the one campaign every driver runs.
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, 4, sampler="counter", streaming=True)
         loaded = CampaignSpec.from_json(json.dumps(data))
         assert loaded == spec
-        assert loaded.tvla.sampler == "sequence"
+        assert loaded.content_hash != data["content_hash"]
 
-    def test_format2_tampering_still_detected(self, small_benchmark,
-                                              campaign_config):
-        import dataclasses
-        legacy_config = dataclasses.replace(campaign_config,
-                                            sampler="sequence")
-        spec = CampaignSpec.from_netlist(small_benchmark, legacy_config, 3)
-        data = _legacy_spec_data(spec, 2, drop=("sampler",),
-                                 sim_backend="compiled",
-                                 power_backend="packed")
-        data["n_shards"] = 5
-        with pytest.raises(ValueError, match="hash mismatch"):
-            CampaignSpec.from_json(json.dumps(data))
+    def test_legacy_hash_result_still_served(self, small_benchmark,
+                                             campaign_config,
+                                             campaign_root):
+        # A sequence campaign stored under its legacy hash: its spec no
+        # longer loads, but collect_result checks the store first.
+        stored = assess_leakage(small_benchmark, campaign_config)
+        spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
+        data = _legacy_spec_data(spec, 4, sampler="sequence", streaming=True)
+        legacy_hash = data["content_hash"]
+        paths = CampaignPaths(campaign_root, legacy_hash)
+        paths.campaign_dir.mkdir(parents=True)
+        paths.spec_path.write_text(json.dumps(data))
+        ResultStore(campaign_root / "store").put(legacy_hash, stored)
+        with pytest.raises(ValueError, match="retired"):
+            load_spec(campaign_root, legacy_hash)
+        served = collect_result(campaign_root, legacy_hash)
+        _assert_assessments_equal(served, stored)
 
     def test_format3_oracle_selectors_load_as_default_spec(
             self, small_benchmark, campaign_config):
@@ -963,7 +972,8 @@ class TestSamplerCampaigns:
         # as the one campaign the single trace engine runs.
         spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
         data = _legacy_spec_data(spec, 3, sim_backend="loop",
-                                 power_backend="unpacked")
+                                 power_backend="unpacked", sampler="counter",
+                                 streaming=True)
         loaded = CampaignSpec.from_json(json.dumps(data))
         assert loaded == spec
         assert loaded.content_hash == spec.content_hash
@@ -973,7 +983,8 @@ class TestSamplerCampaigns:
                                               campaign_config):
         spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
         data = _legacy_spec_data(spec, 3, sim_backend="compiled",
-                                 power_backend="packed")
+                                 power_backend="packed", sampler="counter",
+                                 streaming=True)
         data["tvla"]["seed"] += 1
         with pytest.raises(ValueError, match="hash mismatch"):
             CampaignSpec.from_json(json.dumps(data))
@@ -986,7 +997,8 @@ class TestSamplerCampaigns:
         # format, so load_spec refuses it instead of silently recomputing.
         spec = CampaignSpec.from_netlist(small_benchmark, campaign_config, 3)
         data = _legacy_spec_data(spec, 3, sim_backend="compiled",
-                                 power_backend="packed")
+                                 power_backend="packed", sampler="counter",
+                                 streaming=True)
         paths = CampaignPaths(campaign_root, data["content_hash"])
         paths.campaign_dir.mkdir(parents=True)
         paths.spec_path.write_text(json.dumps(data))
@@ -1001,34 +1013,27 @@ class TestSamplerCampaigns:
         with pytest.raises(ValueError, match="unsupported campaign spec"):
             CampaignSpec.from_json(json.dumps(data))
 
-    def test_cli_sampler_flag(self, campaign_root, capsys, small_benchmark,
-                              campaign_config):
-        import dataclasses
+    def test_cli_sampler_flag(self, campaign_root, capsys):
+        # The flag is retired with the sampler it chose: argparse refuses
+        # it instead of silently submitting a counter campaign.
         args = TestCli()._submit_args(campaign_root) + \
             ["--sampler", "sequence"]
-        assert cli_main(args) == 0
-        spec_hash = capsys.readouterr().out.split()[1]
-        assert cli_main(["work", "--root", str(campaign_root),
-                         "--drain"]) == 0
-        result = collect_result(campaign_root, spec_hash, timeout=60)
-        reference = assess_leakage(
-            small_benchmark,
-            dataclasses.replace(campaign_config, sampler="sequence"))
-        np.testing.assert_allclose(result.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(args)
+        assert excinfo.value.code == 2
+        assert "--sampler" in capsys.readouterr().err
+        assert not campaign_root.exists()
 
 
 # ----------------------------------------------------------------------
 # The slow-but-alive worker: SIGSTOP past lease expiry
 # ----------------------------------------------------------------------
 class TestSlowButAliveWorker:
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_sigstopped_worker_is_fenced_out(self, tmp_path, monkeypatch,
-                                             small_benchmark, sampler):
+                                             small_benchmark):
         """SIGSTOP a worker mid-shard until its lease expires: the shard
         is reclaimed and completed elsewhere, the resumed worker's stale
-        ack is rejected, and the result stays bit-identical — under both
-        samplers."""
+        ack is rejected, and the result stays bit-identical."""
         import os
         import signal
         import subprocess
@@ -1037,7 +1042,7 @@ class TestSlowButAliveWorker:
 
         monkeypatch.setenv("POLARIS_SHARD_DELAY", "1.1")
         root = tmp_path / "runs"
-        config = TvlaConfig(sampler=sampler, **CAMPAIGN_TVLA)
+        config = TvlaConfig(**CAMPAIGN_TVLA)
         outcome = submit_campaign(root, netlist=small_benchmark,
                                   config=config, n_shards=2)
         queue = campaign_queue(root)
@@ -1116,6 +1121,17 @@ class TestResultStore:
         _assert_assessments_equal(assessment, revived)
         assert revived.elapsed_seconds == assessment.elapsed_seconds
         assert revived.t_values.dtype == assessment.t_values.dtype
+
+    def test_stored_streamed_key_is_ignored(self, small_benchmark,
+                                            campaign_config):
+        # Objects stored by builds that could skip streaming carry a
+        # "streamed" key; every assessment streams now, so it is dropped.
+        assessment = assess_leakage(small_benchmark, campaign_config)
+        data = assessment_to_dict(assessment)
+        assert "streamed" not in data
+        for legacy in (True, False):
+            revived = assessment_from_dict({**data, "streamed": legacy})
+            _assert_assessments_equal(assessment, revived)
 
     def test_store_is_write_once(self, small_benchmark, campaign_config,
                                  tmp_path):
@@ -1243,6 +1259,17 @@ class TestCli:
         reference = assess_leakage(small_benchmark, campaign_config)
         np.testing.assert_allclose(result.t_values, reference.t_values,
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("classes", ["0", "-3"])
+    def test_submit_rejects_non_positive_classes(self, campaign_root, capsys,
+                                                 classes):
+        # No silent clamp to one class (which would hash differently from
+        # --classes 1): the config refuses it and nothing is submitted.
+        args = self._submit_args(campaign_root)
+        args[args.index("--classes") + 1] = classes
+        assert cli_main(args) == 2
+        assert "n_fixed_classes" in capsys.readouterr().err
+        assert not campaign_root.exists()
 
     def test_resubmission_reports_cached(self, campaign_root, capsys):
         assert cli_main(self._submit_args(campaign_root)) == 0

@@ -194,7 +194,7 @@ class TestTvlaEquivalence:
     def test_sharded_compiled_matches_serial_loop(self):
         netlist = load_benchmark("voter", scale=0.2, seed=11)
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                            chunk_traces=32, streaming=True)
+                            chunk_traces=32)
         serial_loop = assess_leakage(
             netlist, config, generator=_loop_generator(netlist, config))
         sharded = assess_leakage_sharded(netlist, config, n_shards=4,

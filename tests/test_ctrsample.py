@@ -15,11 +15,14 @@ coordinates.  The stateless-sampling contract lives here:
 * **Packed emission** — ``mask_planes`` (bit-sliced ``packbits`` planes)
   round-trips against ``mask_bytes`` on every batch size, including
   non-multiple-of-8 ones.
-* **Layout invariance** — ``sampler="counter"`` t-values are **bitwise**
-  equal (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards and the
+* **Layout invariance** — t-values are **bitwise** equal
+  (``np.array_equal``, not ~1e-12) across 1/2/4/8 shards and the
   serial/thread/process executors, and across hypothesis-sampled chunk
-  partitions; the ``sampler="sequence"`` oracle keeps its ~1e-12
-  contract and its byte-frozen golden draws.
+  partitions.
+* **Retired sampler** — the SeedSequence streams of
+  ``tests/oracles`` (``chunk_seed_streams``) key the same coordinates as
+  :class:`CounterStream` but draw a different universe; the ``rng=`` path
+  of ``generate`` keeps its byte-frozen golden draws.
 * **Statistical sanity** — chi-square smoke tests of the emitted bytes
   and popcounts (``slow``-marked, excluded from tier-1 CI).
 """
@@ -41,7 +44,6 @@ from repro.power.ctrsample import (
     GAUSS_LANE,
     MASK_LANE_BASE,
     NOISE_LANE,
-    SAMPLERS,
     CounterDraws,
     CounterStream,
     counter_block,
@@ -55,10 +57,15 @@ from repro.tvla.assessment import (
     accumulate_campaign_chunks,
     accumulate_campaign_slice,
     campaign_schedule,
+    results_from_accumulators,
 )
 from repro.tvla.sharding import merge_shard_partials
 
-from tests.oracles import UnpackedPowerTraceGenerator, generate_loop
+from tests.oracles import (
+    UnpackedPowerTraceGenerator,
+    chunk_seed_streams,
+    generate_loop,
+)
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -322,9 +329,10 @@ class TestCounterTraceEngine:
                                draws=CounterDraws(1, 0, 0, 0))
 
     def test_sampler_knob_validated(self):
-        with pytest.raises(ValueError, match="sampler"):
-            TvlaConfig(sampler="bogus")
-        assert SAMPLERS == ("counter", "sequence")
+        # There is one sampler, so the config has no knob to pick one.
+        for retired in ({"sampler": "sequence"}, {"streaming": False}):
+            with pytest.raises(TypeError):
+                TvlaConfig(**retired)
 
 
 # ----------------------------------------------------------------------
@@ -332,12 +340,12 @@ class TestCounterTraceEngine:
 # ----------------------------------------------------------------------
 #: 600 traces in 128-trace chunks -> 5 chunks (matches the sharding suite).
 COUNTER_TVLA = dict(n_traces=600, n_fixed_classes=2, seed=9,
-                    chunk_traces=128, streaming=True)
+                    chunk_traces=128)
 
 
 @pytest.fixture(scope="module")
 def counter_config() -> TvlaConfig:
-    return TvlaConfig(sampler="counter", **COUNTER_TVLA)
+    return TvlaConfig(**COUNTER_TVLA)
 
 
 @pytest.fixture(scope="module")
@@ -367,24 +375,18 @@ class TestLayoutInvariance:
                                          n_shards=4, executor="process")
         assert np.array_equal(sharded.t_values, counter_reference.t_values)
 
-    def test_sequence_oracle_keeps_close_contract(self, small_benchmark):
-        # The frozen discipline stays on its historical ~1e-12 contract —
-        # close, not bitwise — which is exactly why the counter sampler
-        # exists.
-        config = TvlaConfig(sampler="sequence", **COUNTER_TVLA)
-        reference = assess_leakage(small_benchmark, config)
-        sharded = assess_leakage_sharded(small_benchmark, config,
-                                         n_shards=4, executor="serial")
-        np.testing.assert_allclose(sharded.t_values, reference.t_values,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_samplers_draw_different_universes(self, small_benchmark,
-                                               counter_config,
-                                               counter_reference):
-        sequence = assess_leakage(
-            small_benchmark, TvlaConfig(sampler="sequence", **COUNTER_TVLA))
-        assert not np.array_equal(sequence.t_values,
-                                  counter_reference.t_values)
+    def test_samplers_draw_different_universes(self, masked_arbiter):
+        # CounterStream and the retired SeedSequence sampler key the same
+        # (seed, class, group, chunk) coordinates but draw different bits.
+        generator = PowerTraceGenerator(masked_arbiter,
+                                        config=PowerModelConfig(), seed=9)
+        campaign = fixed_vs_random_campaigns(masked_arbiter, 128, seed=9)[1]
+        counter = generator.generate(
+            campaign, draws=CounterStream(9, 0, 1).draws(0))
+        sequence = generator.generate(campaign, rng=np.random.default_rng(
+            chunk_seed_streams(9, 0, 1, 1)[0]))
+        assert counter.per_gate.shape == sequence.per_gate.shape
+        assert not np.array_equal(counter.per_gate, sequence.per_gate)
 
 
 class TestChunkPartitionProperty:
@@ -398,8 +400,7 @@ class TestChunkPartitionProperty:
     @pytest.fixture(scope="class")
     def chunk_partials(self, masked_arbiter):
         config = TvlaConfig(n_traces=384, n_fixed_classes=2, seed=21,
-                            chunk_traces=64, streaming=True,
-                            sampler="counter")
+                            chunk_traces=64)
         generator = PowerTraceGenerator(masked_arbiter, config=config.power,
                                         seed=config.seed)
         schedule = campaign_schedule(masked_arbiter, config)
@@ -409,8 +410,8 @@ class TestChunkPartitionProperty:
         serial = [accumulate_campaign_slice(generator, pair, config,
                                             class_index)
                   for class_index, pair in enumerate(schedule)]
-        reference = merge_shard_partials(
-            [[(acc0, acc1) for acc0, acc1 in serial]], config)
+        reference = [results_from_accumulators(acc0, acc1, config)
+                     for acc0, acc1 in serial]
         return config, per_class, reference
 
     @SETTINGS
@@ -438,14 +439,13 @@ class TestChunkPartitionProperty:
 
 
 # ----------------------------------------------------------------------
-# Frozen sequence oracle (satellite: golden byte-level regression)
+# Frozen rng= draws (golden byte-level regression)
 # ----------------------------------------------------------------------
 class TestSequenceGoldenDraws:
-    """The ``sampler="sequence"`` path is a frozen oracle: its traces are
-    pinned byte-for-byte to the pre-counter implementation.  These hashes
-    were captured from the tree at the commit preceding this change —
-    any drift in the SeedSequence draw order, word over-allocation or
-    noise synthesis breaks them."""
+    """``generate(rng=)`` — the path the retired SeedSequence sampler fed
+    — is pinned byte-for-byte to the pre-counter implementation.  Any
+    drift in the generator draw order, word over-allocation or noise
+    synthesis breaks these hashes."""
 
     GOLDEN = {
         "fast/fixed":

@@ -124,7 +124,7 @@ class TestPackedTraceEquality:
         masked = apply_masking(netlist, maskable_gates(netlist)).netlist
         for design in (netlist, masked):
             config = TvlaConfig(n_traces=165, n_fixed_classes=2, seed=5,
-                                chunk_traces=52, streaming=True,
+                                chunk_traces=52,
                                 tvla_order=tvla_order)
             fast = assess_leakage(design, config)
             slow = assess_leakage(design, config,
@@ -139,7 +139,7 @@ class TestPackedTraceEquality:
     def test_sharded_packed_matches_serial_unpacked(self):
         netlist = load_benchmark("sin", scale=0.2, seed=11)
         config = TvlaConfig(n_traces=192, n_fixed_classes=1, seed=7,
-                            chunk_traces=32, streaming=True)
+                            chunk_traces=32)
         serial = assess_leakage(netlist, config,
                                 generator=_unpacked_generator(netlist,
                                                               config))

@@ -290,7 +290,7 @@ _ORACLE_REFERENCES = (
     "# CompiledNetlist LoopSimulator\n"
     "# predict_batch predict_value expectation_batch expectation\n"
     "# explain_matrix explain\n"
-    "# philox_raw philox_blocks_reference counter sequence\n")
+    "# philox_raw philox_blocks_reference CounterStream chunk_seed_streams\n")
 
 
 def _oracle_repo_files(tmp_path):
@@ -335,10 +335,14 @@ def _oracle_repo_files(tmp_path):
             "    def explain(self):\n"
             "        pass\n",
         "src/repro/power/ctrsample.py":
-            "SAMPLERS = ('counter', 'sequence')\n"
+            "class CounterStream:\n"
+            "    pass\n"
             "def philox_raw():\n"
             "    pass\n"
             "def philox_blocks_reference():\n"
+            "    pass\n",
+        "tests/oracles/sampling.py":
+            "def chunk_seed_streams():\n"
             "    pass\n",
         "tests/test_oracles.py": _ORACLE_REFERENCES,
     }
@@ -378,17 +382,17 @@ class TestPL002Oracle:
             in result.findings[0].message
         assert result.findings[0].path == "tests/oracles/simulation.py"
 
-    def test_dropped_selector_string_is_flagged(self, tmp_path):
+    def test_dropped_fast_path_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
         files["src/repro/power/ctrsample.py"] = (
-            "SAMPLERS = ('counter',)\n"
             "def philox_raw():\n"
             "    pass\n"
             "def philox_blocks_reference():\n"
             "    pass\n")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
-        assert "selector string 'sequence'" in result.findings[0].message
+        assert "fast-path function/method/class 'CounterStream' no longer " \
+            "exists" in result.findings[0].message
 
     def test_untested_pair_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
@@ -407,6 +411,18 @@ class TestPL002Oracle:
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "'CompiledNetlist' and 'LoopSimulator'" \
+            in result.findings[0].message
+
+    def test_lint_own_tests_are_not_the_pair_test(self, tmp_path):
+        # The lint's fixture strings spell every pair; a pair only they
+        # name has lost its real comparison test.
+        files = _oracle_repo_files(tmp_path)
+        files["tests/test_polaris_lint.py"] = _ORACLE_REFERENCES
+        files["tests/test_oracles.py"] = _ORACLE_REFERENCES.replace(
+            " CounterStream chunk_seed_streams", "")
+        result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
+        assert codes(result) == ["PL002"]
+        assert "'CounterStream' and 'chunk_seed_streams'" \
             in result.findings[0].message
 
     def test_word_boundary_no_substring_credit(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from repro.masking import apply_masking, maskable_gates
 from repro.netlist import GateType, Netlist
 from repro.power import (
+    CounterStream,
     DesignMetrics,
     GatePowerModel,
     PowerModelConfig,
@@ -190,12 +191,18 @@ class TestVectorisedEngine:
     def test_stream_chunks_cover_campaign(self, tiny_netlist):
         generator = PowerTraceGenerator(tiny_netlist, seed=1)
         fixed, _ = fixed_vs_random_campaigns(tiny_netlist, 250, seed=1)
-        chunks = list(generator.generate_stream(fixed, chunk_traces=64))
+        stream = CounterStream(1, 0, 0)
+        chunks = list(generator.generate_stream(fixed, 64, stream))
         assert [chunk.n_traces for chunk in chunks] == [64, 64, 64, 58]
         assert all(chunk.gate_names == generator.gate_names
                    for chunk in chunks)
+        # Chunk k draws from global chunk first_chunk + k.
+        shifted = list(generator.generate_stream(fixed.slice(64, 250), 64,
+                                                 stream, first_chunk=1))
+        for whole, part in zip(chunks[1:], shifted):
+            assert np.array_equal(whole.per_gate, part.per_gate)
         with pytest.raises(ValueError):
-            next(generator.generate_stream(fixed, chunk_traces=0))
+            next(generator.generate_stream(fixed, 0, stream))
 
     def test_mask_reuse_mode_leaks_through_shares(self, tiny_netlist):
         # mask_refresh=False models faulty masking: the shares track the

@@ -9,8 +9,9 @@ The contracts pinned here:
   its best-effort / reraise semantics straight;
 * atomic publication fsyncs the data *and* the directory entry, and a
   fault-injected torn write is detected, quarantined and requeued —
-  the healed campaign is **bitwise equal** to an uninjected one, under
-  both samplers;
+  the healed campaign is **bitwise equal** to an uninjected one, and a
+  checkpoint in the retired one-pair-per-class format is quarantined
+  the same way;
 * ``collect_result(allow_partial=True)`` degrades a poisoned campaign
   to the surviving shards (never stored) instead of raising;
 * transient queue faults at claim/ack are absorbed by the worker loop
@@ -26,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import os
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -48,7 +50,7 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.campaign.runner import campaign_store, verified_checkpoint
-from repro.campaign.serialize import decode_array
+from repro.campaign.serialize import decode_array, unpack_shard_moments
 from repro.campaign.spec import CampaignSpec
 from repro.netlist.benchmarks import load_benchmark
 from repro.reliability import (
@@ -76,13 +78,13 @@ from repro.service import (
     tenant_key_prefix,
     tenant_root,
 )
-from repro.tvla import TvlaConfig
+from repro.tvla import OnePassMoments, TvlaConfig
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 #: 240 traces in 48-trace chunks -> 5 chunks; 3 shards split 2/2/1.
 RELIABILITY_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
-                        chunk_traces=48, streaming=True)
+                        chunk_traces=48)
 
 
 @pytest.fixture(autouse=True)
@@ -92,8 +94,18 @@ def _clear_fault_plan():
     set_fault_plan(None)
 
 
-def _config(sampler: str = "counter") -> TvlaConfig:
-    return TvlaConfig(sampler=sampler, **RELIABILITY_TVLA)
+def _config() -> TvlaConfig:
+    return TvlaConfig(**RELIABILITY_TVLA)
+
+
+def _retired_pair_payload() -> bytes:
+    """A packed shard in the retired ``SHM1`` format: per class, one merged
+    ``(group0, group1)`` accumulator pair (SeedSequence-sampler shards)."""
+    accumulator = OnePassMoments(max_order=2, shape=(3,))
+    accumulator.update_batch(np.arange(12.0).reshape(4, 3))
+    blob = accumulator.to_bytes()
+    entry = struct.pack("<I", len(blob)) + blob
+    return b"SHM1" + struct.pack("<I", 1) + entry + entry
 
 
 def _assert_bitwise_equal(left, right):
@@ -418,15 +430,20 @@ class TestCheckpointSeal:
         assert unseal_checkpoint(seal_checkpoint(payload)) == payload
 
     def test_tampered_byte_is_detected(self):
-        sealed = bytearray(seal_checkpoint(b"SHM1" + bytes(100)))
+        sealed = bytearray(seal_checkpoint(b"SHM2" + bytes(100)))
         sealed[10] ^= 0xFF
         with pytest.raises(CheckpointCorruptError, match="digest"):
             unseal_checkpoint(bytes(sealed))
 
     def test_legacy_unsealed_payloads_still_load(self):
-        for magic in (b"SHM1", b"SHM2"):
-            payload = magic + bytes(32)
-            assert unseal_checkpoint(payload) == payload
+        payload = b"SHM2" + bytes(32)
+        assert unseal_checkpoint(payload) == payload
+
+    def test_retired_pair_payload_is_not_a_checkpoint(self):
+        # SHM1 (one merged accumulator pair per class) was written only by
+        # the retired SeedSequence sampler; unsealed, it is foreign bytes.
+        with pytest.raises(CheckpointCorruptError, match="neither"):
+            unseal_checkpoint(_retired_pair_payload())
 
     def test_foreign_bytes_are_rejected(self):
         with pytest.raises(CheckpointCorruptError, match="neither"):
@@ -449,13 +466,12 @@ class TestCheckpointSeal:
 # Campaign-level hardening
 # ----------------------------------------------------------------------
 class TestCampaignHardening:
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_corrupt_checkpoint_quarantined_requeued_bitwise(
-            self, small_benchmark, tmp_path, sampler):
+            self, small_benchmark, tmp_path):
         """The tentpole scenario: a seeded plan corrupts one checkpoint
         mid-campaign; collection quarantines it, requeues the shard, and
         the healed result is bitwise equal to an uninjected campaign."""
-        config = _config(sampler)
+        config = _config()
         root = tmp_path / "faulted"
         set_fault_plan(FaultPlan.parse(
             "seed=42;checkpoint.write:mode=corrupt,max=1"))
@@ -483,6 +499,28 @@ class TestCampaignHardening:
         clean = run_campaign(tmp_path / "clean", small_benchmark, config,
                              n_shards=3, n_workers=1)
         _assert_bitwise_equal(healed, clean)
+
+    def test_retired_pair_checkpoint_quarantined(self, small_benchmark,
+                                                 tmp_path):
+        # A sealed SHM1 checkpoint passes its digest but no longer
+        # unpacks: verified_checkpoint quarantines it and requeues the
+        # shard, exactly like a torn file.
+        payload = _retired_pair_payload()
+        with pytest.raises(ValueError, match="shard-moments"):
+            unpack_shard_moments(payload)
+        root = tmp_path / "runs"
+        outcome = submit_campaign(root, netlist=small_benchmark,
+                                  config=_config(), n_shards=3)
+        queue = campaign_queue(root)
+        run_worker(queue, drain=True)
+        paths = CampaignPaths(root, outcome.spec_hash)
+        paths.shard_path(2).write_bytes(seal_checkpoint(payload))
+        assert verified_checkpoint(paths, 2, queue=queue) is None
+        assert not paths.shard_path(2).exists()
+        assert paths.shard_path(2).with_name(
+            "shard_0002.moments.corrupt").read_bytes() \
+            == seal_checkpoint(payload)
+        assert queue.counts()["pending"] == 1  # the requeued shard
 
     def test_skip_path_quarantines_and_recomputes(self, small_benchmark,
                                                   tmp_path):
@@ -640,10 +678,9 @@ def _drain_until_complete(client, timeout=120.0):
     raise AssertionError("stream ended before completion")
 
 
-def _service_spec(sampler: str = "counter") -> CampaignSpec:
+def _service_spec() -> CampaignSpec:
     netlist = load_benchmark("des3", scale=0.25, seed=99)
-    return CampaignSpec.from_netlist(netlist, _config(sampler), n_shards=3,
-                                     force_streaming=True)
+    return CampaignSpec.from_netlist(netlist, _config(), n_shards=3)
 
 
 class TestServiceReliability:
@@ -695,14 +732,13 @@ class TestServiceReliability:
         assert np.array_equal(decode_array(final.t_values),
                               collected.t_values)
 
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
-    def test_four_domain_chaos_converges_bitwise(self, tmp_path, sampler):
+    def test_four_domain_chaos_converges_bitwise(self, tmp_path):
         """The acceptance scenario: one seeded plan spanning four fault
         domains — a SIGKILLed worker, a corrupted checkpoint, transient
         queue errors, a severed watch connection — and the campaign still
         completes with t-values bitwise equal to an uninjected run."""
         shared_root = tmp_path / "svc"
-        spec = _service_spec(sampler)
+        spec = _service_spec()
         tenant = "lab"
         handle = _ServiceHandle(shared_root).start()
         client = ServiceClient(handle.server.host, handle.port)

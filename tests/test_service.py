@@ -9,8 +9,8 @@ The contracts pinned here:
   submitting the *same* spec into the shared queue get disjoint tasks;
 * the server folds streamed shard partials in global shard order, so the
   progress frame emitted after the final partial carries t-values
-  **bitwise equal** to the batch ``collect_result`` — under both the
-  counter and the sequence sampler, and under faults (a worker SIGKILLed
+  **bitwise equal** to the batch ``collect_result`` — also under faults
+  (a worker SIGKILLed
   mid-shard, completion via lease expiry, a worker renewing its lease
   past the original expiry).
 """
@@ -67,14 +67,13 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 #: 240 traces in 48-trace chunks -> 5 chunks; 3 shards split 2/2/1.
 SERVICE_TVLA = dict(n_traces=240, n_fixed_classes=2, seed=7,
-                    chunk_traces=48, streaming=True)
+                    chunk_traces=48)
 
 
-def _spec(sampler: str = "counter", n_shards: int = 3) -> CampaignSpec:
+def _spec(n_shards: int = 3) -> CampaignSpec:
     netlist = load_benchmark("des3", scale=0.25, seed=99)
-    config = TvlaConfig(sampler=sampler, **SERVICE_TVLA)
-    return CampaignSpec.from_netlist(netlist, config, n_shards=n_shards,
-                                     force_streaming=True)
+    config = TvlaConfig(**SERVICE_TVLA)
+    return CampaignSpec.from_netlist(netlist, config, n_shards=n_shards)
 
 
 # ----------------------------------------------------------------------
@@ -290,17 +289,16 @@ class TestServer:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: faults + bitwise-equal streamed t-values, both samplers
+# End-to-end: faults + bitwise-equal streamed t-values
 # ----------------------------------------------------------------------
 class TestEndToEndStreaming:
-    @pytest.mark.parametrize("sampler", ["counter", "sequence"])
     def test_streamed_t_values_bitwise_equal_collect(
-            self, service, tmp_path, monkeypatch, sampler):
+            self, service, tmp_path, monkeypatch):
         """The acceptance scenario: one worker SIGKILLed mid-shard, one
         renewing past its original lease; the final progress frame is
         bitwise equal to ``polaris-campaign result``."""
         monkeypatch.setenv("POLARIS_SHARD_DELAY", "0.9")
-        spec = _spec(sampler=sampler)
+        spec = _spec()
         tenant = "lab"
         shared_root = service.root
 

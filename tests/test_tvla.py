@@ -5,12 +5,13 @@ import pytest
 from scipy import stats
 
 from repro.masking import apply_masking, maskable_gates
-from repro.power import PowerModelConfig
+from repro.power import CounterStream, PowerModelConfig, PowerTraceGenerator
 from repro.tvla import (
     OnePassMoments,
     TVLA_THRESHOLD,
     TvlaConfig,
     assess_leakage,
+    assess_leakage_sharded,
     campaign_schedule,
     compare_assessments,
     moment_order_for_tvla,
@@ -372,8 +373,15 @@ class TestAssessment:
         assert assessment.t_values.shape == (len(tiny_netlist),)
 
     def test_unknown_mode_rejected(self, tiny_netlist):
-        with pytest.raises(ValueError):
-            assess_leakage(tiny_netlist, TvlaConfig(mode="bogus"))
+        with pytest.raises(ValueError, match="mode"):
+            TvlaConfig(mode="bogus")
+
+    @pytest.mark.parametrize("n_classes", [0, -3])
+    def test_non_positive_class_count_rejected(self, n_classes):
+        # Validated once, at construction: no driver silently clamps the
+        # class count to 1 (which would hash differently from 1).
+        with pytest.raises(ValueError, match="n_fixed_classes"):
+            TvlaConfig(n_fixed_classes=n_classes)
 
     def test_more_fixed_classes_tracks_mean_abs_t(self, tiny_netlist):
         config = TvlaConfig(n_traces=100, n_fixed_classes=3, seed=2)
@@ -391,39 +399,55 @@ class TestAssessment:
 class TestStreamingAssessment:
     def test_streaming_equals_two_pass(self, small_benchmark):
         # The streaming accumulator path must reproduce the classic
-        # two-pass Welch test on identical traces (same seed, same chunk
-        # iteration) to floating-point merge error.
-        common = dict(n_traces=600, n_fixed_classes=2, seed=9,
-                      chunk_traces=128)
-        streamed = assess_leakage(small_benchmark,
-                                  TvlaConfig(streaming=True, **common))
-        two_pass = assess_leakage(small_benchmark,
-                                  TvlaConfig(streaming=False, **common))
-        assert streamed.streamed and not two_pass.streamed
-        np.testing.assert_allclose(streamed.t_values, two_pass.t_values,
+        # two-pass Welch test on identical traces (same counter streams,
+        # same chunk iteration) to floating-point merge error.
+        config = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=9,
+                            chunk_traces=128)
+        streamed = assess_leakage(small_benchmark, config)
+        generator = PowerTraceGenerator(small_benchmark, config=config.power,
+                                        seed=config.seed)
+        for class_index, pair in enumerate(
+                campaign_schedule(small_benchmark, config)):
+            groups = [np.concatenate([
+                traces.per_gate for traces in generator.generate_stream(
+                    campaign, config.chunk_traces,
+                    CounterStream(config.seed, class_index, group_index))])
+                for group_index, campaign in enumerate(pair)]
+            two_pass = welch_t_test(*groups)
+            if class_index == 0:
+                worst_t = two_pass.t_statistic
+            else:
+                worst_t = np.where(np.abs(two_pass.t_statistic)
+                                   > np.abs(worst_t),
+                                   two_pass.t_statistic, worst_t)
+        np.testing.assert_allclose(streamed.t_values, worst_t,
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(streamed.mean_abs_t, two_pass.mean_abs_t,
-                                   rtol=0, atol=1e-9)
-        np.testing.assert_allclose(streamed.degrees_of_freedom,
-                                   two_pass.degrees_of_freedom,
-                                   rtol=1e-9, atol=1e-6)
 
-    def test_streaming_auto_selection(self):
-        assert TvlaConfig(n_traces=10_000, chunk_traces=2048).resolved_streaming()
-        assert not TvlaConfig(n_traces=500, chunk_traces=2048).resolved_streaming()
-        assert TvlaConfig(n_traces=500, chunk_traces=2048,
-                          streaming=True).resolved_streaming()
+    def test_streaming_auto_selection(self, small_benchmark):
+        # There is nothing left to select: a campaign that fits in one
+        # chunk streams too, so the serial driver equals the 1-shard
+        # sharded fold bitwise.
+        config = TvlaConfig(n_traces=200, n_fixed_classes=2, seed=4,
+                            chunk_traces=2048)
+        serial = assess_leakage(small_benchmark, config)
+        sharded = assess_leakage_sharded(small_benchmark, config,
+                                         n_shards=1, executor="serial")
+        assert np.array_equal(serial.t_values, sharded.t_values)
+        assert np.array_equal(serial.mean_abs_t, sharded.mean_abs_t)
+        assert np.array_equal(serial.degrees_of_freedom,
+                              sharded.degrees_of_freedom)
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             TvlaConfig(chunk_traces=0)
 
     def test_streamed_flag_in_assessment(self, tiny_netlist):
+        # Every assessment streams, so the result carries no flag for it.
         config = TvlaConfig(n_traces=300, n_fixed_classes=1, seed=3,
                             chunk_traces=100)
         assessment = assess_leakage(tiny_netlist, config)
-        assert assessment.streamed
-        assert assessment.summary()["streamed"]
+        assert not hasattr(assessment, "streamed")
+        assert "streamed" not in assessment.summary()
 
     def test_schedule_reuse_matches_internal_build(self, tiny_netlist,
                                                    tvla_config):
@@ -461,8 +485,8 @@ class TestHigherOrderAssessment:
             TvlaConfig(tvla_order=0)
 
     def test_higher_order_forces_streaming(self):
+        # Order 2 needs central moments up to 4 from the accumulators.
         config = TvlaConfig(n_traces=100, chunk_traces=2048, tvla_order=2)
-        assert config.resolved_streaming()
         assert config.moment_order() == 4
 
     def test_order_results_shape_and_summary(self, tiny_netlist):

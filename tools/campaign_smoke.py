@@ -47,7 +47,7 @@ from repro.tvla import TvlaConfig, assess_leakage  # noqa: E402
 #: The smoke campaign: 600 traces in 75-trace chunks -> 8 chunks, 4 shards.
 DESIGN = dict(name="des3", scale=0.25, seed=99)
 CONFIG = TvlaConfig(n_traces=600, n_fixed_classes=2, seed=9,
-                    chunk_traces=75, streaming=True)
+                    chunk_traces=75)
 N_SHARDS = 4
 #: Short lease so the killed worker's shard is redelivered quickly.
 LEASE_SECONDS = 3.0

@@ -31,9 +31,8 @@ NP_RANDOM_ALLOWED: Tuple[str, ...] = (
 #: accepting an injected ``rng`` parameter) is the sanctioned way to get
 #: randomness inside ``src/repro``.
 RNG_SEAM_FUNCTIONS: Tuple[str, ...] = (
-    "chunk_seed_streams",
-    # PR 8: the counter sampler's single BitGenerator seam — Philox keyed
-    # by (seed, class, group, chunk, lane) coordinates, seedless by design.
+    # The counter sampler's single BitGenerator seam — Philox keyed by
+    # (seed, class, group, chunk, lane) coordinates, seedless by design.
     "philox_bit_generator",
 )
 
@@ -41,6 +40,10 @@ RNG_SEAM_FUNCTIONS: Tuple[str, ...] = (
 #: Test-only package holding the oracles of production fast paths.  Its
 #: modules define oracles; they do not count as tests that compare one.
 ORACLE_PACKAGE = "tests/oracles/"
+
+#: The lint's own test modules.  Their fixture strings spell both names of
+#: every pair, so they never count as the test that compares a pair.
+LINT_TEST_MODULES: Tuple[str, ...] = ("tests/test_polaris_lint.py",)
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,9 @@ class OraclePair:
         pair_id: Short identifier used in findings.
         module: Repo-relative path of the module defining the fast path
             (and the oracle too, unless ``oracle_module`` is set).
-        fast: Fast-path symbol (``kind="symbol"``) or selector string
-            (``kind="string"``).
-        oracle: The reference implementation's symbol or selector string.
-        kind: ``"symbol"`` — both names must be defined functions, methods
-            or classes; ``"string"`` — both must appear as string constants
-            in ``module`` (selector tuples).
+        fast: Fast-path function, method or class name.
+        oracle: The reference implementation's function, method or class
+            name.
         oracle_module: Repo-relative path of the module defining the
             oracle when it is not ``module`` — an oracle moved into the
             test-only :data:`ORACLE_PACKAGE`.
@@ -66,7 +66,6 @@ class OraclePair:
     module: str
     fast: str
     oracle: str
-    kind: str = "symbol"
     oracle_module: Optional[str] = None
 
     @property
@@ -77,7 +76,8 @@ class OraclePair:
 
 #: Every fast path and the oracle that pins it.  PL002 verifies both sides
 #: still exist and that at least one test module (outside
-#: :data:`ORACLE_PACKAGE`) references the pair together.
+#: :data:`ORACLE_PACKAGE` and :data:`LINT_TEST_MODULES`) references the
+#: pair together.
 ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # PR 5: fused Horner moment update vs the naive power-chain reference.
     OraclePair("moments-update", "src/repro/tvla/moments.py",
@@ -107,11 +107,12 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",
                "philox_raw", "philox_blocks_reference"),
-    # PR 8: counter-based sampling discipline vs the frozen SeedSequence
-    # stream discipline (different draws by design — the sequence side is
-    # the stateless-contract oracle pinned byte-for-byte by regression).
+    # Philox counter streams vs the retired per-chunk SeedSequence
+    # streams (different draws by design; the retired sampler is the
+    # denominator of the sampler ratio benches).
     OraclePair("mask-sampler", "src/repro/power/ctrsample.py",
-               "counter", "sequence", kind="string"),
+               "CounterStream", "chunk_seed_streams",
+               oracle_module="tests/oracles/sampling.py"),
 )
 
 

@@ -57,7 +57,7 @@ from repro.tvla import TvlaConfig  # noqa: E402
 #: The smoke campaign: 240 traces in 48-trace chunks -> 5 chunks, 3 shards.
 DESIGN = dict(name="des3", scale=0.25, seed=99)
 CONFIG = TvlaConfig(n_traces=240, n_fixed_classes=2, seed=9,
-                    chunk_traces=48, streaming=True)
+                    chunk_traces=48)
 N_SHARDS = 3
 TENANT = "smoke"
 #: Every shard is stretched to ~1.2s so mid-shard kills are deterministic,
@@ -97,8 +97,7 @@ def start_worker(root: Path, host: str, port: int) -> subprocess.Popen:
 def main() -> int:
     netlist = load_benchmark(DESIGN["name"], scale=DESIGN["scale"],
                              seed=DESIGN["seed"])
-    spec = CampaignSpec.from_netlist(netlist, CONFIG, n_shards=N_SHARDS,
-                                     force_streaming=True)
+    spec = CampaignSpec.from_netlist(netlist, CONFIG, n_shards=N_SHARDS)
     root = Path(tempfile.mkdtemp(prefix="service-smoke-"))
     server, host, port = start_server(root)
     print(f"service pid {server.pid} on {host}:{port}, root {root}")
