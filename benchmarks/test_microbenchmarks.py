@@ -28,6 +28,7 @@ or the whole suite with ``pytest -m ""``.
 
 from __future__ import annotations
 
+import functools
 import os
 import statistics
 import time
@@ -53,8 +54,9 @@ from repro.tvla.welch import welch_from_accumulators
 
 from bench_common import BENCH_SCALE, best_of, interleaved_cpu_seconds
 
-from tests.oracles import LoopSimulator, UnpackedPowerTraceGenerator, \
-    chunk_seed_streams, generate_loop
+from tests.oracles import LoopSimulator, PerSampleTreeShap, \
+    UnpackedPowerTraceGenerator, chunk_seed_streams, generate_loop, \
+    node_table, predict_value, update_batch_naive
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -174,7 +176,8 @@ def _tvla_end_to_end(design, generator_cls, fused_moments,
     accumulators = []
     for group_index, campaign in enumerate(campaigns):
         acc = OnePassMoments(max_order=2, shape=(generator.n_gates,))
-        fold = acc.update_batch if fused_moments else acc.update_batch_naive
+        fold = (acc.update_batch if fused_moments
+                else functools.partial(update_batch_naive, acc))
         if sampler == "counter":
             blocks = generator.generate_stream(
                 campaign, chunk, CounterStream(seed, 0, group_index))
@@ -359,7 +362,7 @@ def test_moment_update_fused_microbench(recorder):
         naive_acc = OnePassMoments(max_order=max_order, shape=(n_gates,))
         fused = best_of(lambda: fused_acc.update_batch(samples),
                         repeats=7, number=5)
-        naive = best_of(lambda: naive_acc.update_batch_naive(samples),
+        naive = best_of(lambda: update_batch_naive(naive_acc, samples),
                         repeats=7, number=5)
         rows.append({
             "tvla_order": tvla_order,
@@ -741,13 +744,14 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     Scores a benchmark-netlist gate-feature matrix (tiled to >= 2000 rows)
     with the trained AdaBoost model two ways: the flat-array fast path
     (``positive_score`` descending every :class:`repro.ml.FlatTree` for
-    the whole matrix at once) and a verbatim reconstruction of the pre-PR
-    inference loop (one recursive ``predict_value`` node walk per row per
-    weak learner, one vote comparison pass per class).  Scores must be
-    **exactly** equal and the batch path must clear a 10x floor.  A second
-    row times ``explain_matrix`` against per-row ``explain`` calls on the
-    same model (the SHAP path shares one coalition-expectation sweep
-    across all rows); recorded as ``microbench_ml_scoring`` and gated by
+    the whole matrix at once) and the per-row inference loop of
+    ``tests/oracles`` (one ``predict_value`` node walk per row per weak
+    learner over node tables built before timing, one vote comparison
+    pass per class).  Scores must be **exactly** equal and the batch path
+    must clear a 10x floor.  A second row times ``explain_matrix`` against
+    per-row ``PerSampleTreeShap.explain`` calls on the same model (the
+    SHAP path shares one coalition-expectation sweep across all rows);
+    recorded as ``microbench_ml_scoring`` and gated by
     ``tools/check_bench_regression.py``.
     """
     model = trained_polaris_bench.model
@@ -756,10 +760,13 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
     _, matrix = extractor.extract_all(maskable_only=True)
     matrix = np.tile(matrix, (max(1, -(-2000 // matrix.shape[0])), 1))
 
+    tables = [node_table(tree.tree_.flat) for tree in model.estimators_]
+
     def per_sample_scores():
         votes = np.zeros((matrix.shape[0], len(model.classes_)))
-        for tree, alpha in zip(model.estimators_, model.estimator_weights_):
-            proba = tree.tree_.predict_value(matrix)
+        for tree, nodes, alpha in zip(model.estimators_, tables,
+                                      model.estimator_weights_):
+            proba = predict_value(nodes, matrix)
             predictions = tree.classes_[np.argmax(proba, axis=1)]
             for column, cls in enumerate(model.classes_):
                 votes[:, column] += alpha * (predictions == cls)
@@ -777,17 +784,18 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
 
     from repro.xai import TreeShapExplainer
     explainer = TreeShapExplainer(model)
+    oracle = PerSampleTreeShap(explainer)
     shap_rows = matrix[:8]
     for fast_expl, oracle_expl in zip(
             explainer.explain_matrix(shap_rows),
-            [explainer.explain(row) for row in shap_rows]):
+            [oracle.explain(row) for row in shap_rows]):
         np.testing.assert_array_equal(fast_expl.shap_values,
                                       oracle_expl.shap_values)
         assert fast_expl.prediction == oracle_expl.prediction
     shap_fast = best_of(lambda: explainer.explain_matrix(shap_rows),
                         repeats=3)
     shap_oracle = best_of(
-        lambda: [explainer.explain(row) for row in shap_rows], repeats=3)
+        lambda: [oracle.explain(row) for row in shap_rows], repeats=3)
 
     rows = [
         {

@@ -5,26 +5,20 @@ axis-aligned split is chosen by exhaustive search over features and
 thresholds, scoring candidate splits with the weighted Gini impurity
 (classification) or weighted variance (regression).
 
-A fitted tree carries two synchronised representations:
-
-* a ``List[TreeNode]`` of dataclasses — the builder's output and the
-  structure the *per-sample oracles* (:meth:`_FittedTree.predict_value`,
-  :meth:`_FittedTree.decision_path`) walk one row at a time, and
-* a :class:`FlatTree` — parallel ``feature``/``threshold``/``left``/
-  ``right``/``value``/``cover`` numpy node arrays built once at the end of
-  ``fit``, which the vectorised batch paths (:meth:`_FittedTree.predict_batch`,
-  :meth:`_FittedTree.leaf_indices`) descend frontier-by-frontier over the
-  whole ``(n_samples, n_features)`` matrix, and which the Tree SHAP
-  explainer (:mod:`repro.xai.tree_shap`) traverses.
-
-The batch paths are bit-identical to the per-sample oracles (same float64
-comparisons, same leaf values); the pairing is pinned by
-``tests/test_ml_vectorised.py`` and enforced by polaris-lint PL002.
+A fitted tree is its :class:`FlatTree`: parallel ``feature``/``threshold``/
+``left``/``right``/``value``/``cover``/``impurity`` numpy node arrays built
+once at the end of ``fit``.  Prediction (:meth:`_FittedTree.predict_batch`,
+:meth:`_FittedTree.leaf_indices`) descends them frontier-by-frontier over
+the whole ``(n_samples, n_features)`` matrix, introspection reads them, and
+the Tree SHAP explainer (:mod:`repro.xai.tree_shap`) sweeps them.  The
+per-row node walk that pins the batch descent bit for bit is test code
+(``tests/oracles/tree.py``, oracle pair ``tree-predict`` of polaris-lint
+PL002).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -43,7 +37,8 @@ LEAF = -1
 
 @dataclass
 class TreeNode:
-    """One node of a fitted tree.
+    """The builder's record of one node, flattened into a :class:`FlatTree`
+    when growing ends.
 
     Attributes:
         feature: Split feature index, or :data:`LEAF` for leaves.
@@ -66,11 +61,6 @@ class TreeNode:
     impurity: float
     depth: int
 
-    @property
-    def is_leaf(self) -> bool:
-        """Whether the node is a leaf."""
-        return self.feature == LEAF
-
 
 @dataclass
 class _SplitCandidate:
@@ -91,11 +81,11 @@ class _TreeBuilder:
             raise ValueError("criterion must be 'gini' or 'mse'")
         self.criterion = criterion
         self.max_depth = max_depth
-        self.min_samples_split = max(2, min_samples_split)
-        self.min_samples_leaf = max(1, min_samples_leaf)
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.nodes: List[TreeNode] = []
+        self._nodes: List[TreeNode] = []
 
     # -- impurity ------------------------------------------------------
     def _node_value(self, targets: np.ndarray, weights: np.ndarray,
@@ -213,20 +203,20 @@ class _TreeBuilder:
 
     # -- recursion ------------------------------------------------------
     def build(self, features: np.ndarray, targets: np.ndarray,
-              weights: np.ndarray, n_classes: int) -> List[TreeNode]:
-        self.nodes = []
+              weights: np.ndarray, n_classes: int) -> "FlatTree":
+        self._nodes = []
         self._grow(features, targets, weights, n_classes, depth=0)
-        return self.nodes
+        return FlatTree.from_nodes(self._nodes)
 
     def _grow(self, features: np.ndarray, targets: np.ndarray,
               weights: np.ndarray, n_classes: int, depth: int) -> int:
-        node_index = len(self.nodes)
+        node_index = len(self._nodes)
         value = self._node_value(targets, weights, n_classes)
         impurity = self._impurity(targets, weights, n_classes)
         node = TreeNode(feature=LEAF, threshold=0.0, left=-1, right=-1,
                         value=value, cover=float(weights.sum()),
                         impurity=impurity, depth=depth)
-        self.nodes.append(node)
+        self._nodes.append(node)
 
         n_samples = features.shape[0]
         stop = (
@@ -262,6 +252,7 @@ class FlatTree:
         right: Right-child index per node (-1 for leaves).
         value: ``(n_nodes, n_outputs)`` node predictions.
         cover: Total sample weight that reached each node.
+        impurity: Node impurity (Gini or variance).
         step_feature: Like ``feature`` but 0 at leaves — safe to gather.
         step_threshold: Like ``threshold`` but ``+inf`` at leaves.
         step_left: Like ``left`` but leaves point back at themselves.
@@ -284,6 +275,7 @@ class FlatTree:
     right: np.ndarray
     value: np.ndarray
     cover: np.ndarray
+    impurity: np.ndarray
     step_feature: np.ndarray
     step_threshold: np.ndarray
     step_left: np.ndarray
@@ -306,6 +298,7 @@ class FlatTree:
             right=right,
             value=np.vstack([node.value for node in nodes]).astype(float),
             cover=np.array([node.cover for node in nodes], dtype=float),
+            impurity=np.array([node.impurity for node in nodes], dtype=float),
             step_feature=np.where(leaf, 0, feature),
             step_threshold=np.where(leaf, np.inf, threshold),
             step_left=np.where(leaf, self_index, left),
@@ -320,43 +313,16 @@ class FlatTree:
 
 
 class _FittedTree:
-    """Prediction and introspection over a fitted tree.
+    """Prediction and introspection over a fitted tree's :class:`FlatTree`."""
 
-    Holds both representations: the :class:`TreeNode` list walked by the
-    per-sample oracles and the :class:`FlatTree` arrays descended by the
-    vectorised batch paths.  :meth:`set_node_value` keeps the two in sync
-    (gradient boosting rewrites leaf values with Newton steps after
-    fitting).
-    """
-
-    def __init__(self, nodes: List[TreeNode], n_features: int) -> None:
-        self.nodes = nodes
+    def __init__(self, flat: FlatTree, n_features: int) -> None:
+        self.flat = flat
         self.n_features = n_features
-        self.flat = FlatTree.from_nodes(nodes)
 
     def set_node_value(self, index: int, value: np.ndarray) -> None:
-        """Replace one node's prediction in both representations."""
-        value = np.asarray(value, dtype=float)
-        self.nodes[index].value = value
+        """Replace one node's prediction (gradient boosting rewrites leaf
+        values with Newton steps after fitting)."""
         self.flat.value[index] = value
-
-    def predict_value(self, features: np.ndarray) -> np.ndarray:
-        """Per-sample oracle: walk the node list one row at a time.
-
-        Bit-identical to :meth:`predict_batch`, which replaces it on the
-        hot path (oracle pair ``tree-predict``, polaris-lint PL002).
-        """
-        features = check_features(features)
-        outputs = np.zeros((features.shape[0], self.nodes[0].value.shape[0]))
-        for row in range(features.shape[0]):
-            node = self.nodes[0]
-            while not node.is_leaf:
-                if features[row, node.feature] <= node.threshold:
-                    node = self.nodes[node.left]
-                else:
-                    node = self.nodes[node.right]
-            outputs[row] = node.value
-        return outputs
 
     def _descend(self, features: np.ndarray) -> np.ndarray:
         """Level-synchronous descent: leaf index reached by every row.
@@ -380,58 +346,54 @@ class _FittedTree:
         """Leaf value per sample via iterative descent over the flat arrays.
 
         One ``(n_samples,)``-wide comparison per tree level instead of a
-        Python loop per row; bit-identical to :meth:`predict_value`.
+        Python loop per row; bit-identical to the per-row node walk.
         """
         features = check_features(features)
         return self.flat.value[self._descend(features)]
 
     def leaf_indices(self, features: np.ndarray) -> np.ndarray:
-        """Leaf node index reached by every row (batched
-        ``decision_path(row)[-1]``)."""
+        """Leaf node index reached by every row."""
         return self._descend(check_features(features))
-
-    def decision_path(self, sample: np.ndarray) -> List[int]:
-        """Indices of the nodes visited by ``sample`` (root to leaf).
-
-        Per-sample oracle for :meth:`leaf_indices` (its last element is the
-        leaf the batch descent returns for the same row).
-        """
-        sample = np.asarray(sample, dtype=float).ravel()
-        path = [0]
-        node = self.nodes[0]
-        while not node.is_leaf:
-            if sample[node.feature] <= node.threshold:
-                next_index = node.left
-            else:
-                next_index = node.right
-            path.append(next_index)
-            node = self.nodes[next_index]
-        return path
 
     def feature_importances(self) -> np.ndarray:
         """Impurity-decrease feature importances (normalised to sum to 1)."""
+        flat = self.flat
+        split = np.flatnonzero(flat.feature != LEAF)
+        weighted = flat.cover * flat.impurity
+        decrease = (weighted[split] - weighted[flat.left[split]]
+                    - weighted[flat.right[split]])
         importances = np.zeros(self.n_features)
-        for node in self.nodes:
-            if node.is_leaf:
-                continue
-            left = self.nodes[node.left]
-            right = self.nodes[node.right]
-            decrease = (node.cover * node.impurity
-                        - left.cover * left.impurity
-                        - right.cover * right.impurity)
-            importances[node.feature] += max(0.0, decrease)
+        # Unbuffered, in node order: the same sums as a per-node loop.
+        np.add.at(importances, flat.feature[split], np.maximum(decrease, 0.0))
         total = importances.sum()
         return importances / total if total > 0 else importances
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes in the tree."""
-        return len(self.nodes)
+        return self.flat.n_nodes
 
     @property
     def max_depth(self) -> int:
         """Depth of the deepest node."""
-        return max(node.depth for node in self.nodes)
+        return self.flat.max_depth
+
+
+def _check_tree_parameters(max_depth: Optional[int], min_samples_split: int,
+                           min_samples_leaf: int,
+                           max_features: Optional[int]) -> None:
+    """Reject hyperparameters that would silently grow a degenerate tree."""
+    if max_depth is not None and max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
+    if min_samples_split < 2:
+        raise ValueError(
+            f"min_samples_split must be >= 2, got {min_samples_split}")
+    if min_samples_leaf < 1:
+        raise ValueError(
+            f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if max_features is not None and max_features < 1:
+        raise ValueError(
+            f"max_features must be >= 1 or None, got {max_features}")
 
 
 class DecisionTreeClassifier(BaseClassifier):
@@ -449,6 +411,8 @@ class DecisionTreeClassifier(BaseClassifier):
     def __init__(self, max_depth: Optional[int] = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features: Optional[int] = None,
                  random_state: int = 0) -> None:
+        _check_tree_parameters(max_depth, min_samples_split, min_samples_leaf,
+                               max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -468,8 +432,9 @@ class DecisionTreeClassifier(BaseClassifier):
         builder = _TreeBuilder("gini", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,
                                np.random.default_rng(self.random_state))
-        nodes = builder.build(features, encoded, weights, len(self.classes_))
-        self.tree_ = _FittedTree(nodes, self.n_features_)
+        self.tree_ = _FittedTree(
+            builder.build(features, encoded, weights, len(self.classes_)),
+            self.n_features_)
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
@@ -491,6 +456,8 @@ class DecisionTreeRegressor:
     def __init__(self, max_depth: Optional[int] = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features: Optional[int] = None,
                  random_state: int = 0) -> None:
+        _check_tree_parameters(max_depth, min_samples_split, min_samples_leaf,
+                               max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -510,8 +477,9 @@ class DecisionTreeRegressor:
         builder = _TreeBuilder("mse", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,
                                np.random.default_rng(self.random_state))
-        nodes = builder.build(features, targets, weights, n_classes=1)
-        self.tree_ = _FittedTree(nodes, self.n_features_)
+        self.tree_ = _FittedTree(
+            builder.build(features, targets, weights, n_classes=1),
+            self.n_features_)
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -106,8 +106,9 @@ class OnePassMoments:
         therefore runs zero steady-state allocations where the naive chain
         made seven per chunk.  The arithmetic — operand order, dtype,
         layout, summation association — is unchanged, so results are
-        **bit-identical** to :meth:`update_batch_naive` (the pre-fusion
-        reference, pinned by ``tests/test_packed_power.py``).
+        **bit-identical** to the pre-fusion chain (``update_batch_naive``
+        in ``tests/oracles/moments.py``, pinned by
+        ``tests/test_packed_power.py``).
 
         Accumulators configured for ``max_order == 2`` (first-order TVLA
         campaigns) never build odd-order central sums: the batch reduction
@@ -163,33 +164,6 @@ class OnePassMoments:
         sums_b = [power.sum(axis=0)]
         for _ in range(3, self.max_order + 1):
             np.multiply(power, delta, out=power)
-            sums_b.append(power.sum(axis=0))
-        self._combine(n_b, mean_b, sums_b)
-
-    def update_batch_naive(self, samples: np.ndarray) -> None:
-        """Pre-fusion reference implementation of :meth:`update_batch`.
-
-        Converts to float64 up front and materialises the full
-        ``delta**k`` power chain, exactly as the engine did before the
-        fused update.  Kept as the bit-identical oracle for the property
-        tests and the ``microbench_moment_update`` comparison; production
-        paths call :meth:`update_batch`.
-        """
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim < 1 or samples.shape[1:] != self.shape:
-            raise ValueError(
-                f"batch shape {samples.shape} does not match accumulator "
-                f"shape (n, *{self.shape})"
-            )
-        n_b = samples.shape[0]
-        if n_b == 0:
-            return
-        mean_b = samples.mean(axis=0)
-        delta = samples - mean_b
-        power = delta * delta
-        sums_b = [power.sum(axis=0)]
-        for _ in range(3, self.max_order + 1):
-            power = power * delta
             sums_b.append(power.sum(axis=0))
         self._combine(n_b, mean_b, sums_b)
 

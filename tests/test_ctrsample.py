@@ -6,7 +6,8 @@ coordinates.  The stateless-sampling contract lives here:
 
 * **Philox oracle** — the native generator's raw words equal the
   pure-numpy reference network bitwise: ``philox_raw`` vs
-  ``philox_blocks_reference`` (the ``ctr-philox`` oracle pair).
+  ``tests.oracles.philox_blocks_reference`` (the ``ctr-philox`` oracle
+  pair).
 * **Coordinate determinism** — every draw is a pure function of its
   coordinates: fresh objects, repeated calls and permuted call orders all
   emit identical bits (hypothesis-driven).
@@ -48,7 +49,6 @@ from repro.power.ctrsample import (
     CounterStream,
     counter_block,
     counter_key,
-    philox_blocks_reference,
     philox_raw,
 )
 from repro.simulation import fixed_vs_random_campaigns
@@ -65,6 +65,7 @@ from tests.oracles import (
     UnpackedPowerTraceGenerator,
     chunk_seed_streams,
     generate_loop,
+    philox_blocks_reference,
 )
 
 SETTINGS = settings(max_examples=20, deadline=None,

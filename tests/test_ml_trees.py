@@ -10,6 +10,8 @@ from repro.ml import (
     NotFittedError,
 )
 
+from tests.oracles import decision_path, node_table
+
 
 def _xor_dataset(rng, n=400):
     features = rng.integers(0, 2, size=(n, 2)).astype(float)
@@ -41,8 +43,9 @@ class TestDecisionTreeClassifier:
         features = rng.normal(size=(100, 3))
         labels = (features[:, 0] > 0).astype(int)
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(features, labels)
-        leaf_covers = [node.cover for node in tree.tree_.nodes if node.is_leaf]
-        assert min(leaf_covers) * 100 >= 20 - 1e-9  # weights are normalised
+        flat = tree.tree_.flat
+        leaf_covers = flat.cover[flat.feature == LEAF]
+        assert leaf_covers.min() * 100 >= 20 - 1e-9  # weights are normalised
 
     def test_min_samples_leaf_does_not_discard_feature(self):
         # Regression: when a feature's *best* split violated
@@ -53,15 +56,16 @@ class TestDecisionTreeClassifier:
         features = np.arange(8, dtype=float).reshape(-1, 1)
         labels = np.array([1, 0, 0, 0, 0, 0, 0, 0])
         tree = DecisionTreeClassifier(min_samples_leaf=2).fit(features, labels)
-        assert len(tree.tree_.nodes) == 3
-        assert tree.tree_.nodes[0].threshold == pytest.approx(1.5)
+        assert tree.tree_.n_nodes == 3
+        assert tree.tree_.flat.threshold[0] == pytest.approx(1.5)
 
     def test_pure_node_becomes_leaf(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = np.array([1, 1, 1, 1])
         tree = DecisionTreeClassifier().fit(features, labels)
-        assert len(tree.tree_.nodes) == 1
-        assert tree.tree_.nodes[0].feature == LEAF
+        assert tree.tree_.n_nodes == 1
+        assert tree.tree_.flat.feature[0] == LEAF
+        assert tree.tree_.max_depth == 0
 
     def test_sample_weight_changes_decision(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -94,9 +98,35 @@ class TestDecisionTreeClassifier:
     def test_decision_path_starts_at_root_ends_at_leaf(self, rng):
         features, labels = _xor_dataset(rng)
         tree = DecisionTreeClassifier(max_depth=3).fit(features, labels)
-        path = tree.tree_.decision_path(features[0])
+        path = decision_path(node_table(tree.tree_.flat), features[0])
         assert path[0] == 0
-        assert tree.tree_.nodes[path[-1]].is_leaf
+        assert tree.tree_.flat.feature[path[-1]] == LEAF
+        assert path[-1] == tree.tree_.leaf_indices(features[:1])[0]
+
+    def test_root_impurity_and_importances_read_the_arrays(self):
+        # Balanced binary labels: root Gini 0.5; one clean split on
+        # column 1 takes every unit of impurity decrease.
+        features = np.array([[5.0, 0.0], [3.0, 0.0], [5.0, 1.0], [3.0, 1.0]])
+        labels = np.array([0, 0, 1, 1])
+        tree = DecisionTreeClassifier().fit(features, labels)
+        flat = tree.tree_.flat
+        assert flat.impurity[0] == pytest.approx(0.5)
+        assert flat.feature[0] == 1
+        np.testing.assert_array_equal(tree.feature_importances_, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("estimator", [DecisionTreeClassifier,
+                                       DecisionTreeRegressor])
+@pytest.mark.parametrize("parameter, value", [
+    ("max_depth", 0), ("max_depth", -1),
+    ("min_samples_split", 1), ("min_samples_split", 0),
+    ("min_samples_leaf", 0), ("min_samples_leaf", -1),
+    ("max_features", 0), ("max_features", -1),
+])
+def test_degenerate_hyperparameters_rejected(estimator, parameter, value):
+    # These used to be clamped or to fit a one-leaf tree without a word.
+    with pytest.raises(ValueError, match=parameter):
+        estimator(**{parameter: value})
 
 
 class TestDecisionTreeRegressor:

@@ -1,15 +1,16 @@
 """Bit-identity properties: flat-array fast paths vs their per-sample oracles.
 
 These tests pin the oracle pairs registered in
-``tools/polaris_lint/contracts.py`` (rule PL002):
+``tools/polaris_lint/contracts.py`` (rule PL002) against their twins in
+``tests/oracles``:
 
 - ``tree-predict``: ``FlatTree``-based ``predict_batch`` /
-  ``leaf_indices`` vs the recursive ``predict_value`` / ``decision_path``
-  node walk.
+  ``leaf_indices`` vs the per-row ``predict_value`` / ``decision_path``
+  walk over a ``node_table``.
 - ``tree-shap-expectation``: the bottom-up ``expectation_batch`` sweep vs
   the recursive ``expectation`` oracle.
-- ``tree-shap-explain``: the batched ``explain_matrix`` vs per-sample
-  ``explain``.
+- ``tree-shap-explain``: the batched ``explain_matrix`` vs the per-sample
+  ``PerSampleTreeShap``.
 
 Every assertion is *bitwise* (``np.array_equal`` / ``==`` on floats is
 deliberate here): the vectorised paths are required to reproduce the
@@ -32,6 +33,15 @@ from repro.ml import (
     RandomForestClassifier,
 )
 from repro.xai.tree_shap import TreeShapExplainer, _extract_trees
+
+from tests.oracles import (
+    PerSampleTreeShap,
+    decision_path,
+    expectation,
+    node_table,
+    output_table,
+    predict_value,
+)
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -93,7 +103,7 @@ def test_predict_batch_matches_predict_value(family, seed, n_samples,
         size=(n_samples, n_features))
     for fitted in _fitted_trees(model):
         batch = fitted.predict_batch(queries)
-        oracle = np.vstack([fitted.predict_value(row) for row in queries])
+        oracle = predict_value(node_table(fitted.flat), queries)
         assert np.array_equal(batch, oracle)
 
 
@@ -109,7 +119,7 @@ def test_regressor_predict_batch_matches_predict_value(seed, n_samples,
     model.fit(features, targets)
     queries = rng.normal(size=(n_samples, n_features))
     batch = model.tree_.predict_batch(queries)
-    oracle = np.vstack([model.tree_.predict_value(row) for row in queries])
+    oracle = predict_value(node_table(model.tree_.flat), queries)
     assert np.array_equal(batch, oracle)
     assert np.array_equal(model.predict(queries), oracle[:, 0])
 
@@ -124,8 +134,9 @@ def test_leaf_indices_match_decision_path(seed, n_samples, n_features, depth):
     queries = np.random.default_rng(seed + 1).normal(
         size=(n_samples, n_features))
     leaves = model.tree_.leaf_indices(queries)
+    nodes = node_table(model.tree_.flat)
     for index, row in enumerate(queries):
-        assert leaves[index] == model.tree_.decision_path(row)[-1]
+        assert leaves[index] == decision_path(nodes, row)[-1]
 
 
 @pytest.mark.parametrize("degenerate", ["single_class", "constant_feature"])
@@ -139,27 +150,38 @@ def test_predict_batch_degenerate_corners(degenerate):
         model.fit(features, labels)
         for fitted in _fitted_trees(model):
             batch = fitted.predict_batch(features)
-            oracle = np.vstack([fitted.predict_value(row) for row in features])
+            oracle = predict_value(node_table(fitted.flat), features)
             assert np.array_equal(batch, oracle), family
 
 
-def test_flat_tree_mirrors_nodes_topologically():
+def test_flat_tree_is_topologically_ordered():
     features, labels, _ = _dataset(3, 40, 4)
     model = DecisionTreeClassifier(max_depth=4, random_state=0)
     model.fit(features, labels)
     flat = model.tree_.flat
-    nodes = model.tree_.nodes
     assert isinstance(flat, FlatTree)
-    assert flat.n_nodes == len(nodes)
-    for index, node in enumerate(nodes):
-        assert flat.feature[index] == node.feature
-        assert np.array_equal(flat.value[index], node.value)
-        if node.feature != LEAF:
-            # Children always sit at larger indices (topological order);
-            # the vectorised SHAP sweep relies on this.
-            assert node.left > index and node.right > index
-            assert flat.left[index] == node.left
-            assert flat.right[index] == node.right
+    n_nodes = flat.n_nodes
+    for array in (flat.feature, flat.threshold, flat.left, flat.right,
+                  flat.value, flat.cover, flat.impurity):
+        assert array.shape[0] == n_nodes
+    leaf = flat.feature == LEAF
+    index = np.arange(n_nodes)
+    # Children always sit at larger indices (topological order); the
+    # bottom-up SHAP sweep relies on this.
+    assert np.all(flat.left[~leaf] > index[~leaf])
+    assert np.all(flat.right[~leaf] > index[~leaf])
+    assert np.all(flat.left[leaf] == -1) and np.all(flat.right[leaf] == -1)
+    # Every non-root node has exactly one parent.
+    children = np.concatenate([flat.left[~leaf], flat.right[~leaf]])
+    assert sorted(children.tolist()) == list(range(1, n_nodes))
+    # Leaves self-loop in the step arrays used by the batch descent.
+    assert np.array_equal(flat.step_left[leaf], index[leaf])
+    assert np.array_equal(flat.step_right[leaf], index[leaf])
+    assert np.all(np.isinf(flat.step_threshold[leaf]))
+    # A split's children share its cover.
+    np.testing.assert_allclose(
+        flat.cover[~leaf], flat.cover[flat.left[~leaf]]
+        + flat.cover[flat.right[~leaf]])
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +205,9 @@ def test_expectation_batch_matches_expectation(seed, n_samples, n_features,
             int(f) for f in known_rng.choice(n_features, size=n_known,
                                              replace=False))
         batch = tree.expectation_batch(queries, known)
+        nodes = output_table(tree)
         for index, row in enumerate(queries):
-            assert batch[index] == tree.expectation(row, known)
+            assert batch[index] == expectation(nodes, row, known)
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +232,9 @@ def test_explain_matrix_matches_explain(family, seed, n_samples, n_features):
         size=(n_samples, n_features))
     batch = explainer.explain_matrix(queries)
     assert len(batch) == n_samples
+    oracle = PerSampleTreeShap(explainer)
     for index, row in enumerate(queries):
-        _assert_explanations_identical(batch[index], explainer.explain(row))
+        _assert_explanations_identical(batch[index], oracle.explain(row))
 
 
 @SETTINGS
@@ -225,8 +249,9 @@ def test_explain_matrix_matches_explain_sampled_fallback(seed, n_features):
                                   n_permutations=12, seed=7)
     queries = np.random.default_rng(seed + 1).normal(size=(6, n_features))
     batch = explainer.explain_matrix(queries)
+    oracle = PerSampleTreeShap(explainer)
     for index, row in enumerate(queries):
-        _assert_explanations_identical(batch[index], explainer.explain(row))
+        _assert_explanations_identical(batch[index], oracle.explain(row))
 
 
 def test_explain_matrix_regressor_and_1d_input():
@@ -239,7 +264,48 @@ def test_explain_matrix_regressor_and_1d_input():
     row = rng.normal(size=4)
     batch = explainer.explain_matrix(row)
     assert len(batch) == 1
-    _assert_explanations_identical(batch[0], explainer.explain(row))
+    _assert_explanations_identical(batch[0],
+                                   PerSampleTreeShap(explainer).explain(row))
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_FACTORIES))
+def test_explain_is_explain_matrix_on_one_row(family):
+    features, labels, _ = _dataset(11, 30, 4)
+    model = MODEL_FACTORIES[family](3).fit(features, labels)
+    explainer = TreeShapExplainer(model)
+    for row in np.random.default_rng(12).normal(size=(4, 4)):
+        _assert_explanations_identical(explainer.explain(row),
+                                       explainer.explain_matrix(row[None])[0])
+    with pytest.raises(ValueError, match="does not match"):
+        explainer.explain(np.zeros(5))
+
+
+def test_newton_step_reaches_prediction_and_shap():
+    # Gradient boosting rewrites every leaf of a fitted regression tree
+    # with a Newton step sum(g) / sum(h); prediction and Tree SHAP must
+    # both read the rewritten leaf, not the leaf mean the tree was grown
+    # with.
+    features, labels, _ = _dataset(4, 40, 3)
+    model = GradientBoostingClassifier(n_estimators=1, learning_rate=1.0,
+                                       max_depth=2).fit(features, labels)
+    tree = model.estimators_[0]
+    probability = 1.0 / (1.0 + np.exp(-model.initial_score_))
+    gradient = labels - probability
+    hessian = probability * (1.0 - probability)
+    leaves = tree.tree_.leaf_indices(features)
+    for leaf in np.unique(leaves):
+        in_leaf = leaves == leaf
+        newton = gradient[in_leaf].sum() / (hessian * in_leaf.sum())
+        assert tree.tree_.flat.value[leaf, 0] == pytest.approx(newton)
+        assert newton != pytest.approx(gradient[in_leaf].mean())
+    expected = model.initial_score_ + tree.tree_.flat.value[leaves, 0]
+    np.testing.assert_allclose(model.decision_function(features), expected,
+                               rtol=0, atol=1e-12)
+    for explanation, score in zip(
+            TreeShapExplainer(model).explain_matrix(features), expected):
+        assert explanation.prediction == pytest.approx(score, abs=1e-12)
+        assert explanation.base_value + explanation.shap_values.sum() \
+            == pytest.approx(score, abs=1e-9)
 
 
 def test_explain_matrix_rejects_wrong_width():

@@ -13,7 +13,8 @@ moment update safe as the only production path:
   close.
 * **Fused == naive moments.**  ``OnePassMoments.update_batch`` (in-place
   Horner power chain over reusable scratch) must match
-  ``update_batch_naive`` (the pre-fusion allocation-per-order reference)
+  ``tests.oracles.update_batch_naive`` (the pre-fusion
+  allocation-per-order reference)
   bitwise through order-3 TVLA (central sums to order 6), for the real
   trace layouts (float32 transpose views) as well as plain arrays.
 
@@ -46,7 +47,11 @@ from repro.simulation import (
 from repro.tvla import OnePassMoments, TvlaConfig, assess_leakage, \
     assess_leakage_sharded
 
-from tests.oracles import LoopSimulator, UnpackedPowerTraceGenerator
+from tests.oracles import (
+    LoopSimulator,
+    UnpackedPowerTraceGenerator,
+    update_batch_naive,
+)
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -183,7 +188,7 @@ class TestFusedMoments:
                     # real gate-major trace matrix's per_gate view.
                     samples = np.asfortranarray(samples)
             fused.update_batch(samples)
-            naive.update_batch_naive(samples)
+            update_batch_naive(naive, samples)
         assert fused.count == naive.count
         np.testing.assert_array_equal(fused.mean, naive.mean)
         for order in range(2, max_order + 1):
@@ -199,7 +204,7 @@ class TestFusedMoments:
             naive = OnePassMoments(max_order=6, shape=(9,))
             batch = (rng.random((101, 9)) * 4 - 2).astype(np.float32)
             fused.update_batch(batch)
-            naive.update_batch_naive(batch)
+            update_batch_naive(naive, batch)
             parts_fused.append(fused)
             parts_naive.append(naive)
         merged_fused = parts_fused[0].merge(parts_fused[1]).merge(

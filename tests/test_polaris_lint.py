@@ -289,7 +289,7 @@ _ORACLE_REFERENCES = (
     "# generate UnpackedPowerTraceGenerator generate_loop\n"
     "# CompiledNetlist LoopSimulator\n"
     "# predict_batch predict_value expectation_batch expectation\n"
-    "# explain_matrix explain\n"
+    "# explain_matrix PerSampleTreeShap\n"
     "# philox_raw philox_blocks_reference CounterStream chunk_seed_streams\n")
 
 
@@ -299,9 +299,10 @@ def _oracle_repo_files(tmp_path):
         "src/repro/tvla/moments.py":
             "class OnePassMoments:\n"
             "    def update_batch(self):\n"
-            "        pass\n"
-            "    def update_batch_naive(self):\n"
             "        pass\n",
+        "tests/oracles/moments.py":
+            "def update_batch_naive(acc, samples):\n"
+            "    pass\n",
         "src/repro/power/traces.py":
             "class PowerTraceGenerator:\n"
             "    def generate(self):\n"
@@ -321,24 +322,27 @@ def _oracle_repo_files(tmp_path):
         "src/repro/ml/tree.py":
             "class FittedTree:\n"
             "    def predict_batch(self):\n"
-            "        pass\n"
-            "    def predict_value(self):\n"
             "        pass\n",
+        "tests/oracles/tree.py":
+            "def predict_value(nodes, features):\n"
+            "    pass\n",
         "src/repro/xai/tree_shap.py":
             "class TreeShapExplainer:\n"
             "    def expectation_batch(self):\n"
             "        pass\n"
-            "    def expectation(self):\n"
-            "        pass\n"
             "    def explain_matrix(self):\n"
-            "        pass\n"
-            "    def explain(self):\n"
             "        pass\n",
+        "tests/oracles/tree_shap.py":
+            "def expectation(nodes, sample, known):\n"
+            "    pass\n"
+            "class PerSampleTreeShap:\n"
+            "    pass\n",
         "src/repro/power/ctrsample.py":
             "class CounterStream:\n"
             "    pass\n"
             "def philox_raw():\n"
-            "    pass\n"
+            "    pass\n",
+        "tests/oracles/philox.py":
             "def philox_blocks_reference():\n"
             "    pass\n",
         "tests/oracles/sampling.py":
@@ -363,14 +367,14 @@ class TestPL002Oracle:
 
     def test_dropped_oracle_symbol_is_flagged(self, tmp_path):
         files = _oracle_repo_files(tmp_path)
-        files["src/repro/tvla/moments.py"] = (
-            "class OnePassMoments:\n"
-            "    def update_batch(self):\n"
-            "        pass\n")
+        files["tests/oracles/moments.py"] = (
+            "def update_batch_naive_renamed(acc, samples):\n"
+            "    pass\n")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]
         assert "'update_batch_naive' no longer exists" \
             in result.findings[0].message
+        assert result.findings[0].path == "tests/oracles/moments.py"
 
     def test_dropped_test_oracle_is_flagged(self, tmp_path):
         # An oracle moved to tests/oracles/ is still required to exist.
@@ -386,8 +390,6 @@ class TestPL002Oracle:
         files = _oracle_repo_files(tmp_path)
         files["src/repro/power/ctrsample.py"] = (
             "def philox_raw():\n"
-            "    pass\n"
-            "def philox_blocks_reference():\n"
             "    pass\n")
         result = run_lint(tmp_path, files, rule_ids=["PL002"], paths=["src"])
         assert codes(result) == ["PL002"]

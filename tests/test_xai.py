@@ -114,6 +114,26 @@ class TestTreeShap:
         expected = fitted_adaboost.predict_proba(features[3:4])[0, -1]
         assert explanation.prediction == pytest.approx(expected)
 
+    def test_forest_tree_without_positive_class_outputs_zero(self):
+        # Two positives in 30 rows: one bootstrap sample of this forest
+        # holds no positive label, so its tree has a single class column
+        # (P(class 0)).  That tree must add 0 to the positive score, as in
+        # predict_proba, not its only column.
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(30, 4))
+        labels = np.zeros(30, dtype=int)
+        labels[rng.choice(30, 2, replace=False)] = 1
+        forest = RandomForestClassifier(n_estimators=20, max_depth=2,
+                                        random_state=0).fit(features, labels)
+        assert sum(1 not in tree.classes_ for tree in forest.estimators_) == 1
+        explanations = TreeShapExplainer(forest).explain_matrix(features)
+        predictions = np.array([e.prediction for e in explanations])
+        np.testing.assert_allclose(predictions,
+                                   forest.positive_score(features),
+                                   rtol=0, atol=1e-12)
+        for explanation in explanations:
+            assert explanation.additivity_gap < 1e-12
+
     def test_agrees_with_kernel_shap_on_single_tree(self, binary_data, fitted_tree):
         features, _ = binary_data
         tree_explainer = TreeShapExplainer(fitted_tree, feature_names=FEATURE_NAMES)

@@ -9,7 +9,7 @@ pickle-seam class or RNG seam lands, extend the matching registry here (and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Paths (relative, posix) under which PL001's strict RNG discipline
 #: applies: every generator must be injected or derived from a seeded
@@ -52,26 +52,19 @@ class OraclePair:
 
     Attributes:
         pair_id: Short identifier used in findings.
-        module: Repo-relative path of the module defining the fast path
-            (and the oracle too, unless ``oracle_module`` is set).
+        module: Repo-relative path of the module defining the fast path.
         fast: Fast-path function, method or class name.
         oracle: The reference implementation's function, method or class
             name.
         oracle_module: Repo-relative path of the module defining the
-            oracle when it is not ``module`` — an oracle moved into the
-            test-only :data:`ORACLE_PACKAGE`.
+            oracle, inside the test-only :data:`ORACLE_PACKAGE`.
     """
 
     pair_id: str
     module: str
     fast: str
     oracle: str
-    oracle_module: Optional[str] = None
-
-    @property
-    def oracle_path(self) -> str:
-        """Module defining the oracle side."""
-        return self.oracle_module or self.module
+    oracle_module: str
 
 
 #: Every fast path and the oracle that pins it.  PL002 verifies both sides
@@ -81,7 +74,8 @@ class OraclePair:
 ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     # PR 5: fused Horner moment update vs the naive power-chain reference.
     OraclePair("moments-update", "src/repro/tvla/moments.py",
-               "update_batch", "update_batch_naive"),
+               "update_batch", "update_batch_naive",
+               oracle_module="tests/oracles/moments.py"),
     # PR 5: packed toggle extraction vs the bool-matrix oracle.
     OraclePair("power-backend", "src/repro/power/traces.py",
                "generate", "UnpackedPowerTraceGenerator",
@@ -94,19 +88,23 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     OraclePair("trace-engine", "src/repro/power/traces.py",
                "generate", "generate_loop",
                oracle_module="tests/oracles/power.py"),
-    # PR 7: flat-array batch tree descent vs the per-sample node walk.
+    # Flat-array batch tree descent vs the per-row node walk.
     OraclePair("tree-predict", "src/repro/ml/tree.py",
-               "predict_batch", "predict_value"),
+               "predict_batch", "predict_value",
+               oracle_module="tests/oracles/tree.py"),
     # PR 7: bottom-up batched conditional expectation vs the recursive walk.
     OraclePair("tree-shap-expectation", "src/repro/xai/tree_shap.py",
-               "expectation_batch", "expectation"),
+               "expectation_batch", "expectation",
+               oracle_module="tests/oracles/tree_shap.py"),
     # PR 7: batched SHAP matrix vs the per-sample explainer.
     OraclePair("tree-shap-explain", "src/repro/xai/tree_shap.py",
-               "explain_matrix", "explain"),
+               "explain_matrix", "PerSampleTreeShap",
+               oracle_module="tests/oracles/tree_shap.py"),
     # PR 8: native Philox word production vs the pure-numpy 10-round
     # reference implementation of the 4x64 block function.
     OraclePair("ctr-philox", "src/repro/power/ctrsample.py",
-               "philox_raw", "philox_blocks_reference"),
+               "philox_raw", "philox_blocks_reference",
+               oracle_module="tests/oracles/philox.py"),
     # Philox counter streams vs the retired per-chunk SeedSequence
     # streams (different draws by design; the retired sampler is the
     # denominator of the sampler ratio benches).

@@ -2,10 +2,10 @@
 
 Every fast path in this repo is pinned to a bit-identical slow oracle
 (``update_batch``/``update_batch_naive``, ``CompiledNetlist``/
-``LoopSimulator``, ``generate``/``generate_loop``, ...).  Oracles either sit
-next to their fast path or live in the test-only ``tests/oracles/``
-package.  The registry in :mod:`polaris_lint.contracts` names those pairs;
-this rule verifies that
+``LoopSimulator``, ``generate``/``generate_loop``, ...).  Fast paths live in
+``src/``; their oracles live in the test-only ``tests/oracles/`` package.
+The registry in :mod:`polaris_lint.contracts` names those pairs; this rule
+verifies that
 
 1. both sides of each pair still exist in the modules that own them (a
    refactor must not silently drop an oracle), and
@@ -72,8 +72,7 @@ class OraclePairingRule(ProjectRule):
     def run_project(self, project) -> list:
         self.findings = []
         for pair in ORACLE_PAIRS:
-            missing = [path for path in dict.fromkeys((pair.module,
-                                                       pair.oracle_path))
+            missing = [path for path in (pair.module, pair.oracle_module)
                        if project.file(path) is None
                        or project.file(path).tree is None]
             for path in missing:
@@ -84,7 +83,7 @@ class OraclePairingRule(ProjectRule):
                 continue
             fast_line = self._locate(project, pair, pair.module, pair.fast,
                                      "fast-path")
-            oracle_line = self._locate(project, pair, pair.oracle_path,
+            oracle_line = self._locate(project, pair, pair.oracle_module,
                                        pair.oracle, "oracle")
             if fast_line is None or oracle_line is None:
                 continue
