@@ -14,9 +14,10 @@ sweep as ``microbench_compiled_sweep``, the packed end-to-end hot path vs
 the pre-fusion oracle as ``microbench_packed_power``, the fused-vs-naive
 moment update as ``microbench_moment_update``, the flat-array batch
 model scoring + batched TreeSHAP vs their per-sample oracles as
-``microbench_ml_scoring``, and the shard-count scaling curve of the
-sharded TVLA driver (fused kernel and loop oracle) as
-``microbench_sharded_tvla_scaling``.  The speedup metrics of the non-slow
+``microbench_ml_scoring``, the AdaBoost fit with the histogram split
+search vs the sorted-scan oracle as ``microbench_tree_fit``, and the
+shard-count scaling curve of the sharded TVLA driver (fused kernel and
+loop oracle) as ``microbench_sharded_tvla_scaling``.  The speedup metrics of the non-slow
 benches are anchored in ``benchmarks/results/baseline.json`` and gated
 against >25% regressions by ``tools/check_bench_regression.py`` (the CI
 ``bench-regression`` job).
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import os
+from dataclasses import replace
 import statistics
 import time
 import timeit
@@ -37,7 +39,7 @@ import timeit
 import numpy as np
 import pytest
 
-from repro.core import ExperimentRecord
+from repro.core import ExperimentRecord, ModelConfig, train_masking_model
 from repro.features import StructuralFeatureExtractor
 from repro.masking import apply_masking, maskable_gates
 from repro.netlist import load_benchmark
@@ -56,7 +58,7 @@ from bench_common import BENCH_SCALE, best_of, interleaved_cpu_seconds
 
 from tests.oracles import LoopSimulator, PerSampleTreeShap, \
     UnpackedPowerTraceGenerator, chunk_seed_streams, generate_loop, \
-    node_table, predict_value, update_batch_naive
+    node_table, predict_value, scan_split_search, update_batch_naive
 
 #: Trace count of the paper-scale generation benchmark (§V-A).
 PAPER_TRACES = 10_000
@@ -230,57 +232,62 @@ def test_packed_power_microbench(comparison_design, masked_design, recorder):
     subtracts the simulator sweeps both disciplines share verbatim.  The
     two samplers draw different bits by design, so there is no equality
     assertion here — the counter sampler's bitwise contracts live in
-    ``tests/test_ctrsample.py``.  Their margin is thin (~1.0x), so they
-    are timed as interleaved rounds (counter, sequence, sweeps) in process
-    CPU time, and the recorded ratio is the median of the per-round
-    ratios: load that slows one round slows all three of its members
-    alike, and the median drops the rounds a load spike hit unevenly
-    (single rounds range 0.71-1.55x on a shared 2-CPU host; their median
-    stays within 0.99-1.22x).
+    ``tests/test_ctrsample.py``.
 
-    Best-of-5 minima keep the full-path ratio stable under runner load
-    (measured margins are 1.4-1.6x against the 1.3 floor); the long-term
-    trajectory is separately gated by ``tools/check_bench_regression.py``
-    with a 25% tolerance against the committed baseline.
+    Every ratio is timed the same way: interleaved rounds (fast path,
+    oracle, unpacked+fused for the hot-path rows; counter, sequence,
+    sweeps for the sampler rows) in process CPU time, and the recorded
+    ratio is the median of the per-round ratios (``pair_speedups``).  Load
+    that slows one round slows all of its members alike, and the median
+    drops the rounds a load spike hit unevenly: best-of-5 minima taken
+    one implementation after the other read the masked full-path ratio at
+    1.07 and 1.17 against its 1.3 floor on a loaded 2-CPU host, and single
+    sampler rounds range 0.71-1.55x while their median stays within
+    0.99-1.22x.  The long-term trajectory is separately gated by
+    ``tools/check_bench_regression.py`` with a 25% tolerance against the
+    committed baseline.
     """
     rows = []
     speedups = {}
     for label, design in (("unmasked", comparison_design),
                           ("masked", masked_design)):
-        fast = best_of(
-            lambda: _tvla_end_to_end(design, PowerTraceGenerator, True))
-        oracle = best_of(lambda: _tvla_end_to_end(
-            design, UnpackedPowerTraceGenerator, False))
-        unpacked_fused = best_of(lambda: _tvla_end_to_end(
-            design, UnpackedPowerTraceGenerator, True))
         fast_result = _tvla_end_to_end(design, PowerTraceGenerator, True)
         oracle_result = _tvla_end_to_end(design, UnpackedPowerTraceGenerator,
                                          False)
         np.testing.assert_array_equal(fast_result.t_statistic,
                                       oracle_result.t_statistic)
-        speedups[label] = oracle / fast
-        rows.append({
-            "design": design.name,
-            "variant": label,
-            "comparison": "full_hot_path_vs_oracle",
-            "n_traces": PAPER_TRACES,
-            "n_gates": len(design),
-            "oracle_seconds": oracle,
-            "fast_seconds": fast,
-            "speedup": oracle / fast,
-            "t_values_exactly_equal": True,
-        })
-        rows.append({
-            "design": design.name,
-            "variant": label,
-            "comparison": "power_backend_only",
-            "n_traces": PAPER_TRACES,
-            "n_gates": len(design),
-            "oracle_seconds": unpacked_fused,
-            "fast_seconds": fast,
-            "speedup": unpacked_fused / fast,
-            "t_values_exactly_equal": True,
-        })
+        rounds = interleaved_cpu_seconds((
+            lambda: _tvla_end_to_end(design, PowerTraceGenerator, True),
+            lambda: _tvla_end_to_end(design, UnpackedPowerTraceGenerator,
+                                     False),
+            lambda: _tvla_end_to_end(design, UnpackedPowerTraceGenerator,
+                                     True),
+        ))
+        fast, oracle, unpacked_fused = (min(column)
+                                        for column in zip(*rounds))
+        pair_speedups = {
+            "full_hot_path_vs_oracle": [
+                oracle_s / fast_s for fast_s, oracle_s, _ in rounds],
+            "power_backend_only": [
+                unpacked_s / fast_s for fast_s, _, unpacked_s in rounds],
+        }
+        speedups[label] = statistics.median(
+            pair_speedups["full_hot_path_vs_oracle"])
+        for comparison, oracle_seconds in (
+                ("full_hot_path_vs_oracle", oracle),
+                ("power_backend_only", unpacked_fused)):
+            rows.append({
+                "design": design.name,
+                "variant": label,
+                "comparison": comparison,
+                "n_traces": PAPER_TRACES,
+                "n_gates": len(design),
+                "oracle_seconds": oracle_seconds,
+                "fast_seconds": fast,
+                "speedup": statistics.median(pair_speedups[comparison]),
+                "pair_speedups": pair_speedups[comparison],
+                "t_values_exactly_equal": True,
+            })
 
     rounds = interleaved_cpu_seconds((
         lambda: _tvla_end_to_end(masked_design, PowerTraceGenerator, True,
@@ -836,6 +843,75 @@ def test_ml_scoring_microbench(trained_polaris_bench, design, recorder):
         f"flat-array batch scoring below the 10x floor: {speedups}")
     assert speedups["shap_matrix_vs_per_sample"] > 1.2, (
         f"batched TreeSHAP lost its margin over per-row explain: {speedups}")
+
+
+#: Boosting rounds of the timed AdaBoost fits: every round grows one
+#: depth-2 tree on the same matrix, so the ratio does not depend on it and
+#: a short fit keeps the scan's side of the bench at about a second.
+TREE_FIT_ROUNDS = 24
+
+
+def test_tree_fit_microbench(trained_polaris_bench, recorder):
+    """AdaBoost fit: histogram split search vs the sorted-scan oracle.
+
+    Fits the paper's AdaBoost configuration (``ModelConfig`` defaults:
+    depth-2 trees, class-weighted, ``TREE_FIT_ROUNDS`` rounds) on the
+    bench cognition matrix two ways: production, which bins the matrix
+    once and finds every node's split from per-bin sums, and the same fit
+    grown with ``tests/oracles`` ``ScanTreeBuilder`` (per node, per
+    feature argsort + cumulative scan).  Every tree array and estimator
+    weight must be **exactly** equal.  The two fits are timed as
+    interleaved rounds in process CPU time, and the recorded ratio is the
+    median of the per-round ratios; recorded as ``microbench_tree_fit``
+    and gated by ``tools/check_bench_regression.py``.
+    """
+    dataset = trained_polaris_bench.dataset
+    config = replace(trained_polaris_bench.config,
+                     model=ModelConfig(n_estimators=TREE_FIT_ROUNDS))
+
+    def scan_fit():
+        with scan_split_search():
+            return train_masking_model(dataset, config)
+
+    fast_model = train_masking_model(dataset, config)
+    oracle_model = scan_fit()
+    assert fast_model.estimator_weights_ == oracle_model.estimator_weights_
+    for fast_tree, oracle_tree in zip(fast_model.estimators_,
+                                      oracle_model.estimators_):
+        for field in ("feature", "threshold", "left", "right", "value",
+                      "cover", "impurity"):
+            np.testing.assert_array_equal(getattr(fast_tree.tree_.flat, field),
+                                          getattr(oracle_tree.tree_.flat, field))
+
+    rounds = interleaved_cpu_seconds(
+        (lambda: train_masking_model(dataset, config), scan_fit), rounds=5)
+    pair_speedups = [oracle / fast for fast, oracle in rounds]
+    fast_seconds, oracle_seconds = (min(column) for column in zip(*rounds))
+    speedup = statistics.median(pair_speedups)
+    recorder.record(ExperimentRecord(
+        experiment_id="microbench_tree_fit",
+        description=("AdaBoost fit (paper model settings) with the histogram "
+                     "split search vs the per-node sorted-scan oracle on the "
+                     "bench cognition matrix; every tree bitwise equal"),
+        parameters={"model": "adaboost", "n_estimators": TREE_FIT_ROUNDS,
+                    "max_depth": config.model.max_depth,
+                    "cpu_count": os.cpu_count()},
+        rows=[{
+            "comparison": "adaboost_fit_vs_scan",
+            "n_rows": int(dataset.features.shape[0]),
+            "n_features": int(dataset.features.shape[1]),
+            "n_trees": len(fast_model.estimators_),
+            "oracle_seconds": oracle_seconds,
+            "fast_seconds": fast_seconds,
+            "speedup": speedup,
+            "pair_speedups": pair_speedups,
+            "bitwise_equal": True,
+        }],
+    ))
+    # Measured ~9x; the floor only catches the histogram search losing
+    # most of its margin.
+    assert speedup >= 3.0, (
+        f"histogram split search below 3x over the scan: {pair_speedups}")
 
 
 def test_model_inference_throughput(benchmark, trained_polaris_bench, design):

@@ -20,7 +20,7 @@ from .base import (
     check_labels,
     check_sample_weight,
 )
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _BinnedFeatures
 
 
 class AdaBoostClassifier(BaseClassifier):
@@ -62,12 +62,15 @@ class AdaBoostClassifier(BaseClassifier):
 
         self.estimators_ = []
         self.estimator_weights_ = []
+        # The matrix is the same every round (only the weights change):
+        # bin it once for all the weak learners.
+        binned = _BinnedFeatures.from_matrix(features)
         for round_index in range(self.n_estimators):
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 random_state=self.random_state + round_index,
             )
-            tree.fit(features, labels, sample_weight=weights)
+            tree.fit(binned, labels, sample_weight=weights)
             predictions = tree.predict(features)
             incorrect = predictions != labels
             error = float(np.sum(weights * incorrect))

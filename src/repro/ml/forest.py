@@ -13,7 +13,7 @@ from .base import (
     check_labels,
     check_sample_weight,
 )
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _BinnedFeatures
 
 
 class RandomForestClassifier(BaseClassifier):
@@ -66,6 +66,8 @@ class RandomForestClassifier(BaseClassifier):
         if sample_weight is not None:
             probabilities = check_sample_weight(sample_weight, n_samples)
 
+        # Bin once; every bootstrap indexes the same codes.
+        binned = _BinnedFeatures.from_matrix(features)
         self.estimators_ = []
         for index in range(self.n_estimators):
             bootstrap = rng.choice(n_samples, size=n_samples, replace=True,
@@ -76,7 +78,7 @@ class RandomForestClassifier(BaseClassifier):
                 max_features=max_features,
                 random_state=self.random_state + index + 1,
             )
-            tree.fit(features[bootstrap], labels[bootstrap])
+            tree.fit(binned.take(bootstrap), labels[bootstrap])
             self.estimators_.append(tree)
         return self
 

@@ -21,7 +21,7 @@ from .base import (
     check_labels,
     check_sample_weight,
 )
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, _BinnedFeatures
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
@@ -87,6 +87,8 @@ class GradientBoostingClassifier(BaseClassifier):
 
         rng = np.random.default_rng(self.random_state)
         scores = np.full(features.shape[0], self.initial_score_)
+        # Bin once; every round's subsample indexes the same codes.
+        binned = _BinnedFeatures.from_matrix(features)
         self.estimators_ = []
         for round_index in range(self.n_estimators):
             probabilities = _sigmoid(scores)
@@ -103,7 +105,8 @@ class GradientBoostingClassifier(BaseClassifier):
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=self.random_state + round_index,
             )
-            tree.fit(features[rows], gradient[rows], sample_weight=weights[rows])
+            tree.fit(binned.take(rows), gradient[rows],
+                     sample_weight=weights[rows])
             self._newton_adjust_leaves(tree, features[rows], gradient[rows],
                                        hessian[rows], weights[rows])
             update = tree.predict(features)

@@ -1,9 +1,25 @@
 """CART decision trees (classification and regression).
 
 The trees are grown with the classic CART procedure: at every node the best
-axis-aligned split is chosen by exhaustive search over features and
-thresholds, scoring candidate splits with the weighted Gini impurity
-(classification) or weighted variance (regression).
+axis-aligned split over every feature and threshold is chosen, scoring
+candidate splits with the weighted Gini impurity (classification) or
+weighted variance (regression).
+
+The search is an exact histogram search.  ``fit`` bins the feature matrix
+once, each value becoming its rank among its column's distinct values (no
+quantisation; the ensembles bin once per ensemble fit and hand every tree
+the codes of its rows), and every node finds its split from one weighted
+``np.bincount`` per statistic over the flat codes, a cumsum over the bins
+and one argmin over (feature, bin).  It considers the same candidates as
+a per-feature sorted scan and scores them with the same expressions
+summed in another order, so scores can differ from the scan's in the last
+ulp.  Where several splits tie exactly (features that cut a node into
+the same two row sets) that ulp can pick a different one of them: the
+depth-2 trees of the repo's model settings are bitwise equal to the scan
+on the repo's cognition matrices, while deep trees, such as an
+unlimited-depth forest, resolve some ties differently.  The scan is test
+code (``tests/oracles/tree.py``, oracle pair ``tree-split`` of
+polaris-lint PL002).
 
 A fitted tree is its :class:`FlatTree`: parallel ``feature``/``threshold``/
 ``left``/``right``/``value``/``cover``/``impurity`` numpy node arrays built
@@ -19,7 +35,7 @@ PL002).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -70,8 +86,74 @@ class _SplitCandidate:
     left_mask: np.ndarray
 
 
+class _BinnedFeatures:
+    """A feature matrix binned exactly: each value becomes its rank.
+
+    ``codes[i, f]`` is ``f * stride + r``, where ``r`` is the rank of
+    ``features[i, f]`` among the distinct values of column ``f`` and
+    ``values[f, r]`` is that value.  No value is quantised, so a split
+    after rank ``r`` separates the same rows as the threshold between
+    ``values[f, r]`` and the next value, and one flat ``np.bincount`` over
+    ``codes`` histograms every column at once.  The last column of
+    ``values`` (and every rank a column does not use) is NaN and holds no
+    sample.
+
+    An ensemble bins its matrix once per ``fit`` and hands each tree the
+    codes of its rows (:meth:`take`): boosting rounds reuse them, forest
+    bootstraps and boosting subsamples index them.
+    """
+
+    def __init__(self, codes: np.ndarray, values: np.ndarray) -> None:
+        self.codes = codes
+        self.values = values
+
+    @classmethod
+    def from_matrix(cls, features: np.ndarray) -> "_BinnedFeatures":
+        n_features = features.shape[1]
+        order = np.argsort(features, axis=0, kind="stable")
+        ordered = np.take_along_axis(features, order, axis=0)
+        new_value = np.ones(ordered.shape, dtype=bool)
+        new_value[1:] = ordered[1:] != ordered[:-1]
+        ranks = np.cumsum(new_value, axis=0) - 1
+        stride = int(ranks.max(initial=-1)) + 2
+        codes = np.empty(ordered.shape, dtype=np.intp)
+        np.put_along_axis(codes, order,
+                          ranks + np.arange(n_features) * stride, axis=0)
+        values = np.full((n_features, stride), np.nan)
+        columns = np.broadcast_to(np.arange(n_features), ordered.shape)
+        values[columns[new_value], ranks[new_value]] = ordered[new_value]
+        return cls(codes, values)
+
+    @property
+    def n_samples(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.codes.shape[1]
+
+    def take(self, rows: np.ndarray) -> "_BinnedFeatures":
+        """The binned rows ``rows`` (a bootstrap or subsample)."""
+        return _BinnedFeatures(self.codes[rows], self.values)
+
+
+#: What a tree's ``fit`` accepts: a raw matrix, or one binned by an ensemble.
+_Matrix = Union[np.ndarray, _BinnedFeatures]
+
+
+def _features_for_fit(features: _Matrix) -> _BinnedFeatures:
+    """Bin ``features`` unless an ensemble already binned them."""
+    if isinstance(features, _BinnedFeatures):
+        return features
+    return _BinnedFeatures.from_matrix(check_features(features))
+
+
 class _TreeBuilder:
-    """Shared CART growing logic for classification and regression."""
+    """Shared CART growing logic for classification and regression.
+
+    Nodes carry the row indices that reached them into the binned matrix;
+    no node copies the feature matrix.
+    """
 
     def __init__(self, criterion: str, max_depth: Optional[int],
                  min_samples_split: int, min_samples_leaf: int,
@@ -86,6 +168,7 @@ class _TreeBuilder:
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._nodes: List[TreeNode] = []
+        self._binned: Optional[_BinnedFeatures] = None
 
     # -- impurity ------------------------------------------------------
     def _node_value(self, targets: np.ndarray, weights: np.ndarray,
@@ -113,131 +196,152 @@ class _TreeBuilder:
         return float(np.average((targets - mean) ** 2, weights=weights))
 
     # -- split search --------------------------------------------------
-    def _best_split(self, features: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, n_classes: int) -> Optional[_SplitCandidate]:
-        n_samples, n_features = features.shape
-        feature_indices = np.arange(n_features)
-        if self.max_features is not None and self.max_features < n_features:
-            feature_indices = self.rng.choice(
-                n_features, size=self.max_features, replace=False)
+    def _histogram_split(self, rows: np.ndarray, targets: np.ndarray,
+                         weights: np.ndarray,
+                         n_classes: int) -> Optional[_SplitCandidate]:
+        """Best split of the node holding ``rows``, from its histograms.
 
-        best: Optional[_SplitCandidate] = None
-        for feature in feature_indices:
-            column = features[:, feature]
-            order = np.argsort(column, kind="mergesort")
-            sorted_values = column[order]
-            sorted_weights = weights[order]
-            sorted_targets = targets[order]
-            # Candidate split positions: between distinct consecutive values.
-            distinct = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
-            if distinct.size == 0:
-                continue
-            score, position = self._scan_splits(
-                sorted_targets, sorted_weights, distinct, n_classes)
-            if position is None:
-                continue
-            if best is None or score < best.score:
-                threshold = 0.5 * (sorted_values[position]
-                                   + sorted_values[position + 1])
-                best = _SplitCandidate(int(feature), float(threshold), float(score),
-                                       column <= threshold)
-        return best
-
-    def _scan_splits(self, targets: np.ndarray, weights: np.ndarray,
-                     positions: np.ndarray,
-                     n_classes: int) -> Tuple[float, Optional[int]]:
-        """Vectorised scan of candidate split positions on a sorted column.
-
-        Positions whose left/right child would fall below
-        ``min_samples_leaf`` are masked out *before* the argmin, so a
-        feature whose best-scoring position violates the leaf constraint
-        still yields its best valid position rather than being discarded.
+        ``targets`` and ``weights`` are the node's own (``[rows]``).  One
+        ``np.bincount`` over the flat codes per statistic (the weight of
+        each class for Gini; ``w``, ``w*y`` and ``w*y**2`` for mse) plus
+        one unweighted count give every considered feature's per-bin sums;
+        a cumsum over bins makes them the left-child sums of every split
+        position.  A position is a candidate when its bin holds a row of
+        the node, the next such bin's value is more than 1e-12 higher,
+        both children keep ``min_samples_leaf`` rows and a positive
+        weight.  One row-major argmin over (feature, bin) picks the best:
+        ties go to the first considered feature, then the lowest bin.  The
+        threshold is the midpoint of the two node values around the split
+        (the lower one where the midpoint rounds onto the upper), and the
+        left child is the rows with ``x <= threshold``.
         """
-        n_samples = targets.size
-        # Split at position p sends samples [0, p] left and (p, n) right.
-        leaf_ok = ((positions + 1 >= self.min_samples_leaf)
-                   & (n_samples - positions - 1 >= self.min_samples_leaf))
-        total_weight = weights.sum()
-        if self.criterion == "gini":
-            # Cumulative weighted class counts.
-            one_hot = np.zeros((targets.size, n_classes))
-            one_hot[np.arange(targets.size), targets] = weights
-            left_counts = np.cumsum(one_hot, axis=0)[positions]
-            total_counts = one_hot.sum(axis=0)
-            right_counts = total_counts - left_counts
-            left_weight = left_counts.sum(axis=1)
-            right_weight = right_counts.sum(axis=1)
-            valid = (left_weight > 0) & (right_weight > 0) & leaf_ok
-            if not np.any(valid):
-                return np.inf, None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - np.sum(
-                    (left_counts / np.maximum(left_weight[:, None], 1e-300)) ** 2,
-                    axis=1)
-                gini_right = 1.0 - np.sum(
-                    (right_counts / np.maximum(right_weight[:, None], 1e-300)) ** 2,
-                    axis=1)
-            score = (left_weight * gini_left + right_weight * gini_right) / total_weight
+        binned = self._binned
+        n_features, stride = binned.values.shape
+        considered = np.arange(n_features)
+        if self.max_features is not None and self.max_features < n_features:
+            considered = self.rng.choice(
+                n_features, size=self.max_features, replace=False)
+            codes = binned.codes[np.ix_(rows, considered)]
         else:
-            cum_weight = np.cumsum(weights)[positions]
-            cum_target = np.cumsum(weights * targets)[positions]
-            cum_square = np.cumsum(weights * targets ** 2)[positions]
-            total_target = float(np.sum(weights * targets))
-            total_square = float(np.sum(weights * targets ** 2))
-            left_weight = cum_weight
-            right_weight = total_weight - cum_weight
-            valid = (left_weight > 0) & (right_weight > 0) & leaf_ok
-            if not np.any(valid):
-                return np.inf, None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                var_left = cum_square - cum_target ** 2 / np.maximum(left_weight, 1e-300)
+            codes = binned.codes[rows]
+        flat = codes.ravel()
+        size = n_features * stride
+
+        def histogram(statistic: Optional[np.ndarray]) -> np.ndarray:
+            repeated = (None if statistic is None
+                        else np.repeat(statistic, considered.size))
+            counts = np.bincount(flat, weights=repeated, minlength=size)
+            return counts.reshape(n_features, stride)[considered]
+
+        if self.criterion == "gini":
+            statistics = [np.where(targets == k, weights, 0.0)
+                          for k in range(n_classes)]
+        else:
+            statistics = [weights, weights * targets, weights * targets ** 2]
+        left = np.cumsum([histogram(statistic) for statistic in statistics],
+                         axis=-1)
+        count = histogram(None)
+        total_weight = weights.sum()
+        # Bins past a node's last row give empty children whose sums are
+        # rounding residue; their scores may overflow and are masked below.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.criterion == "gini":
+                # Each feature's totals are its own last cumulative bin,
+                # so a class wholly on one side leaves exactly 0 on the
+                # other, as in a sorted scan, and pure children tie at 0.
+                right = left[..., -1:] - left
+                left_weight = left.sum(axis=0)
+                right_weight = right.sum(axis=0)
+                gini_left = 1.0 - np.sum(
+                    (left / np.maximum(left_weight, 1e-300)) ** 2, axis=0)
+                gini_right = 1.0 - np.sum(
+                    (right / np.maximum(right_weight, 1e-300)) ** 2, axis=0)
+                score = ((left_weight * gini_left + right_weight * gini_right)
+                         / total_weight)
+            else:
+                cum_weight, cum_target, cum_square = left
+                total_target = float(np.sum(statistics[1]))
+                total_square = float(np.sum(statistics[2]))
+                left_weight = cum_weight
+                right_weight = total_weight - cum_weight
+                var_left = (cum_square - cum_target ** 2
+                            / np.maximum(left_weight, 1e-300))
                 var_right = ((total_square - cum_square)
                              - (total_target - cum_target) ** 2
                              / np.maximum(right_weight, 1e-300))
-            score = (var_left + var_right) / total_weight
+                score = (var_left + var_right) / total_weight
+
+            # The next bin holding a row of the node, after each bin (the
+            # NaN pad column when there is none).
+            present = count > 0
+            held = np.where(present, np.arange(stride), stride - 1)
+            following = np.full(held.shape, stride - 1)
+            following[:, :-1] = np.minimum.accumulate(
+                held[:, :0:-1], axis=1)[:, ::-1]
+            values = binned.values[considered]
+            gap = np.take_along_axis(values, following, axis=1) - values
+            count_left = np.cumsum(count, axis=1)
+            valid = (present & (gap > 1e-12)
+                     & (count_left >= self.min_samples_leaf)
+                     & (rows.size - count_left >= self.min_samples_leaf)
+                     & (left_weight > 0) & (right_weight > 0))
         score = np.where(valid, score, np.inf)
-        best_index = int(np.argmin(score))
-        if not np.isfinite(score[best_index]):
-            return np.inf, None
-        return float(score[best_index]), int(positions[best_index])
+        best = int(np.argmin(score))
+        column, position = divmod(best, stride)
+        if not np.isfinite(score[column, position]):
+            return None
+        lower = values[column, position]
+        upper = values[column, following[column, position]]
+        threshold = 0.5 * (lower + upper)
+        if threshold >= upper:
+            # The midpoint of two adjacent floats (or of a value and +inf)
+            # rounds onto the upper one, and x <= threshold would send
+            # every row left, the same node again without end.
+            threshold = lower
+        feature = int(considered[column])
+        return _SplitCandidate(feature, float(threshold),
+                               float(score[column, position]),
+                               codes[:, column] <= feature * stride + position)
 
     # -- recursion ------------------------------------------------------
-    def build(self, features: np.ndarray, targets: np.ndarray,
+    def build(self, binned: _BinnedFeatures, targets: np.ndarray,
               weights: np.ndarray, n_classes: int) -> "FlatTree":
+        self._binned = binned
         self._nodes = []
-        self._grow(features, targets, weights, n_classes, depth=0)
+        self._grow(np.arange(binned.n_samples), targets, weights, n_classes,
+                   depth=0)
         return FlatTree.from_nodes(self._nodes)
 
-    def _grow(self, features: np.ndarray, targets: np.ndarray,
+    def _grow(self, rows: np.ndarray, targets: np.ndarray,
               weights: np.ndarray, n_classes: int, depth: int) -> int:
         node_index = len(self._nodes)
-        value = self._node_value(targets, weights, n_classes)
-        impurity = self._impurity(targets, weights, n_classes)
+        node_targets = targets[rows]
+        node_weights = weights[rows]
+        value = self._node_value(node_targets, node_weights, n_classes)
+        impurity = self._impurity(node_targets, node_weights, n_classes)
         node = TreeNode(feature=LEAF, threshold=0.0, left=-1, right=-1,
-                        value=value, cover=float(weights.sum()),
+                        value=value, cover=float(node_weights.sum()),
                         impurity=impurity, depth=depth)
         self._nodes.append(node)
 
-        n_samples = features.shape[0]
         stop = (
-            n_samples < self.min_samples_split
+            rows.size < self.min_samples_split
             or impurity <= 1e-12
             or (self.max_depth is not None and depth >= self.max_depth)
         )
         if stop:
             return node_index
-        split = self._best_split(features, targets, weights, n_classes)
+        split = self._histogram_split(rows, node_targets, node_weights,
+                                      n_classes)
         if split is None or split.score >= impurity - 1e-12:
             return node_index
 
-        left_mask = split.left_mask
-        right_mask = ~left_mask
         node.feature = split.feature
         node.threshold = split.threshold
-        node.left = self._grow(features[left_mask], targets[left_mask],
-                               weights[left_mask], n_classes, depth + 1)
-        node.right = self._grow(features[right_mask], targets[right_mask],
-                                weights[right_mask], n_classes, depth + 1)
+        node.left = self._grow(rows[split.left_mask], targets, weights,
+                               n_classes, depth + 1)
+        node.right = self._grow(rows[~split.left_mask], targets, weights,
+                                n_classes, depth + 1)
         return node_index
 
 
@@ -422,18 +526,20 @@ class DecisionTreeClassifier(BaseClassifier):
         self.classes_: np.ndarray = np.array([])
         self.n_features_: int = 0
 
-    def fit(self, features: np.ndarray, labels: np.ndarray,
+    def fit(self, features: _Matrix, labels: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "DecisionTreeClassifier":
-        features = check_features(features)
-        labels = check_labels(labels, features.shape[0])
-        weights = check_sample_weight(sample_weight, features.shape[0])
+        """Grow the tree on ``features`` (an ``(n_samples, n_features)``
+        matrix; the ensembles pass the rows of a matrix they binned once)."""
+        binned = _features_for_fit(features)
+        labels = check_labels(labels, binned.n_samples)
+        weights = check_sample_weight(sample_weight, binned.n_samples)
         self.classes_, encoded = np.unique(labels, return_inverse=True)
-        self.n_features_ = features.shape[1]
+        self.n_features_ = binned.n_features
         builder = _TreeBuilder("gini", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,
                                np.random.default_rng(self.random_state))
         self.tree_ = _FittedTree(
-            builder.build(features, encoded, weights, len(self.classes_)),
+            builder.build(binned, encoded, weights, len(self.classes_)),
             self.n_features_)
         return self
 
@@ -466,19 +572,21 @@ class DecisionTreeRegressor:
         self.tree_: Optional[_FittedTree] = None
         self.n_features_: int = 0
 
-    def fit(self, features: np.ndarray, targets: np.ndarray,
+    def fit(self, features: _Matrix, targets: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "DecisionTreeRegressor":
-        features = check_features(features)
+        """Grow the tree on ``features`` (as
+        :meth:`DecisionTreeClassifier.fit`)."""
+        binned = _features_for_fit(features)
         targets = np.asarray(targets, dtype=float)
-        if targets.shape != (features.shape[0],):
+        if targets.shape != (binned.n_samples,):
             raise ValueError("targets must match the number of feature rows")
-        weights = check_sample_weight(sample_weight, features.shape[0])
-        self.n_features_ = features.shape[1]
+        weights = check_sample_weight(sample_weight, binned.n_samples)
+        self.n_features_ = binned.n_features
         builder = _TreeBuilder("mse", self.max_depth, self.min_samples_split,
                                self.min_samples_leaf, self.max_features,
                                np.random.default_rng(self.random_state))
         self.tree_ = _FittedTree(
-            builder.build(features, targets, weights, n_classes=1),
+            builder.build(binned, targets, weights, n_classes=1),
             self.n_features_)
         return self
 

@@ -21,7 +21,9 @@ benches of ``benchmarks/test_microbenchmarks.py``):
   Philox-4x64-10 network behind the native counter words;
 * :mod:`.tree` — :func:`predict_value` and :func:`decision_path`, the
   per-row node walk over a :func:`node_table` that the flat-array batch
-  descent must match;
+  descent must match, and :class:`ScanTreeBuilder`, the per-feature
+  sorted-scan split search that the histogram split search replaced
+  (:func:`scan_split_search` grows ensemble fits with it);
 * :mod:`.tree_shap` — :func:`expectation` and :class:`PerSampleTreeShap`,
   the recursive per-sample Tree SHAP behind
   ``TreeShapExplainer.explain_matrix``.
@@ -41,7 +43,14 @@ from .power import (
 )
 from .sampling import chunk_seed_streams
 from .simulation import LoopResult, LoopSimulator
-from .tree import Node, decision_path, node_table, predict_value
+from .tree import (
+    Node,
+    ScanTreeBuilder,
+    decision_path,
+    node_table,
+    predict_value,
+    scan_split_search,
+)
 from .tree_shap import PerSampleTreeShap, expectation, output_table
 
 __all__ = [
@@ -49,6 +58,7 @@ __all__ = [
     "LoopSimulator",
     "Node",
     "PerSampleTreeShap",
+    "ScanTreeBuilder",
     "UnpackedPowerTraceGenerator",
     "add_noise",
     "chunk_seed_streams",
@@ -60,6 +70,7 @@ __all__ = [
     "output_table",
     "philox_blocks_reference",
     "predict_value",
+    "scan_split_search",
     "unmasked_power",
     "update_batch_naive",
 ]

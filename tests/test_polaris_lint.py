@@ -289,6 +289,7 @@ _ORACLE_REFERENCES = (
     "# generate UnpackedPowerTraceGenerator generate_loop\n"
     "# CompiledNetlist LoopSimulator\n"
     "# predict_batch predict_value expectation_batch expectation\n"
+    "# _histogram_split ScanTreeBuilder\n"
     "# explain_matrix PerSampleTreeShap\n"
     "# philox_raw philox_blocks_reference CounterStream chunk_seed_streams\n")
 
@@ -322,9 +323,14 @@ def _oracle_repo_files(tmp_path):
         "src/repro/ml/tree.py":
             "class FittedTree:\n"
             "    def predict_batch(self):\n"
+            "        pass\n"
+            "class TreeBuilder:\n"
+            "    def _histogram_split(self):\n"
             "        pass\n",
         "tests/oracles/tree.py":
             "def predict_value(nodes, features):\n"
+            "    pass\n"
+            "class ScanTreeBuilder:\n"
             "    pass\n",
         "src/repro/xai/tree_shap.py":
             "class TreeShapExplainer:\n"

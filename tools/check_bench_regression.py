@@ -13,7 +13,10 @@ absolute wall-clock numbers do not transfer between the container that
 recorded the baseline and whatever runner CI lands on, but a fast-path /
 oracle ratio cancels the machine out, so a >25% drop means the fast path
 itself lost its margin — a genuine regression, not runner weather.  The
-benches feeding these metrics use best-of-N minima for the same reason.
+benches feeding these metrics time the two sides back to back for the
+same reason: best-of-N minima (compiled sweep, moment update, ML
+scoring) or interleaved process-CPU rounds whose per-round ratios are
+reduced to their median (packed power, tree fit).
 
 Usage::
 
@@ -49,6 +52,7 @@ GATED: Dict[str, Tuple[Tuple[str, ...], str, bool]] = {
     "microbench_packed_power": (("design", "comparison"), "speedup", True),
     "microbench_moment_update": (("max_order",), "speedup", True),
     "microbench_ml_scoring": (("design", "comparison"), "speedup", True),
+    "microbench_tree_fit": (("comparison",), "speedup", True),
 }
 
 #: Row keys exempt from gating (informational rows): the packed-extraction

@@ -92,6 +92,11 @@ ORACLE_PAIRS: Tuple[OraclePair, ...] = (
     OraclePair("tree-predict", "src/repro/ml/tree.py",
                "predict_batch", "predict_value",
                oracle_module="tests/oracles/tree.py"),
+    # Histogram split search over a matrix binned once vs the per-node,
+    # per-feature sorted scan it replaced.
+    OraclePair("tree-split", "src/repro/ml/tree.py",
+               "_histogram_split", "ScanTreeBuilder",
+               oracle_module="tests/oracles/tree.py"),
     # PR 7: bottom-up batched conditional expectation vs the recursive walk.
     OraclePair("tree-shap-expectation", "src/repro/xai/tree_shap.py",
                "expectation_batch", "expectation",
